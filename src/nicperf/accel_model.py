@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, ResourceKind
+from .core import Codec, InvalidInputError, ResourceKind
 
 __all__ = [
     "AccelModelParams",
@@ -42,7 +42,7 @@ class PoorFitWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class AccelModelParams:
+class AccelModelParams(Codec):
     """Per-NF accelerator parameters: n queues, t = t0 + a * attr."""
 
     queue_count: int
@@ -65,25 +65,6 @@ class AccelModelParams:
     def solo_rate(self, attr_value: float) -> float:
         """Uncontended accelerator throughput at the given traffic."""
         return 1.0 / (self.queue_count * self.request_time(attr_value))
-
-    def to_dict(self) -> dict:
-        return {
-            "queue_count": self.queue_count,
-            "t0": self.t0,
-            "a": self.a,
-            "resource": self.resource.value,
-            "fit_r2": self.fit_r2,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AccelModelParams":
-        return cls(
-            queue_count=int(d["queue_count"]),
-            t0=float(d["t0"]),
-            a=float(d["a"]),
-            resource=ResourceKind(d["resource"]),
-            fit_r2=None if d.get("fit_r2") is None else float(d["fit_r2"]),
-        )
 
 
 def predict_equilibrium(

@@ -17,6 +17,7 @@ import warnings
 
 from .catalog import get_nf
 from .core import (
+    Codec,
     ExecutionPattern,
     InvalidInputError,
     ResourceKind,
@@ -85,22 +86,18 @@ class NfInstance:
     sla: SlaSpec
 
     def to_dict(self) -> dict:
-        import json
-
         return {
             "instance_id": self.instance_id,
-            "bundle": json.loads(self.predictor.to_json()),
+            "bundle": self.predictor.to_dict(),
             "traffic": self.traffic.to_dict(),
             "max_drop_ratio": self.sla.max_drop_ratio,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NfInstance":
-        import json
-
         return cls(
             instance_id=d["instance_id"],
-            predictor=NfPredictor.from_json(json.dumps(d["bundle"])),
+            predictor=NfPredictor.from_dict(d["bundle"]),
             traffic=TrafficProfile.from_dict(d["traffic"]),
             sla=SlaSpec(d["max_drop_ratio"]),
         )
@@ -307,25 +304,28 @@ class _Oracle:
             for i in instances
         ))
 
+    def _throughputs(self, named: list[tuple[str, NfInstance]]) -> dict:
+        """Simulated throughput of each instance's catalog NF, renamed."""
+        result = run_scenario(ContentionScenario(
+            nfs=tuple(
+                (dataclasses.replace(get_nf(i.predictor.nf_name), name=name),
+                 i.traffic)
+                for name, i in named
+            ),
+            seed=self.config.seed,
+            llc_bytes=self.config.llc_bytes,
+            mem_params=self.config.mem_params,
+            sim_cycles=self.config.sim_cycles,
+        ))
+        return dict(result.per_nf_throughput)
+
     def group_throughputs(self, instances: list[NfInstance]) -> dict:
         key = self._key(instances)
         hit = self._group_memo.get(key)
         if hit is not None:
             return hit
         # Instance ids keep co-located copies of the same NF distinct.
-        nfs = tuple(
-            (dataclasses.replace(get_nf(i.predictor.nf_name), name=i.instance_id),
-             i.traffic)
-            for i in instances
-        )
-        result = run_scenario(ContentionScenario(
-            nfs=nfs,
-            seed=self.config.seed,
-            llc_bytes=self.config.llc_bytes,
-            mem_params=self.config.mem_params,
-            sim_cycles=self.config.sim_cycles,
-        ))
-        out = dict(result.per_nf_throughput)
+        out = self._throughputs([(i.instance_id, i) for i in instances])
         self._group_memo[key] = out
         return out
 
@@ -333,16 +333,7 @@ class _Oracle:
         key = (inst.predictor.nf_name, inst.traffic)
         hit = self._solo_memo.get(key)
         if hit is None:
-            nfs = ((dataclasses.replace(get_nf(inst.predictor.nf_name),
-                                        name="solo"), inst.traffic),)
-            result = run_scenario(ContentionScenario(
-                nfs=nfs,
-                seed=self.config.seed,
-                llc_bytes=self.config.llc_bytes,
-                mem_params=self.config.mem_params,
-                sim_cycles=self.config.sim_cycles,
-            ))
-            hit = result.per_nf_throughput["solo"]
+            hit = self._throughputs([("solo", inst)])["solo"]
             self._solo_memo[key] = hit
         return hit
 
@@ -359,7 +350,7 @@ class _Oracle:
 
 
 @dataclasses.dataclass(frozen=True)
-class PlacementReport:
+class PlacementReport(Codec):
     nic_count: int
     nf_count: int
     violating_instances: tuple[str, ...]
@@ -376,12 +367,7 @@ class PlacementReport:
         return 100.0 * (self.nic_count - optimum_nics) / optimum_nics
 
     def to_dict(self) -> dict:
-        return {
-            "nic_count": self.nic_count,
-            "nf_count": self.nf_count,
-            "violating_instances": list(self.violating_instances),
-            "violation_pct": self.violation_pct,
-        }
+        return {**super().to_dict(), "violation_pct": self.violation_pct}
 
 
 def evaluate_placement(

@@ -32,6 +32,7 @@ from .simulator import (
     NfSpec,
     NfStage,
     SimulationResult,
+    levels_key,
     make_benchmark_nf,
     run_scenario,
 )
@@ -173,29 +174,12 @@ class SimulatorRunner:
 
     # -- scenario plumbing --------------------------------------------------
 
-    @staticmethod
-    def _level_on(level) -> bool:
-        return max(level) > 0 if isinstance(level, tuple) else level > 0
-
-    def _levels_key(self, levels) -> tuple:
-        out = []
-        for k, v in levels.items():
-            if self._level_on(v):
-                out.append((k.value, tuple(v) if isinstance(v, tuple) else float(v)))
-        return tuple(sorted(out))
-
-    def _benches(self, levels) -> list[NfSpec]:
-        out = []
-        for kind, level in sorted(levels.items(), key=lambda kv: kv[0].value):
-            if self._level_on(level):
-                out.append(make_benchmark_nf(kind, level, name=f"bench-{kind.value}"))
-        return out
-
     def _execute(
         self, traffic: TrafficProfile, levels, *, saturate: bool = False,
         extra: NfSpec | None = None,
     ) -> tuple[ContentionScenario, SimulationResult]:
-        key = (traffic, self._levels_key(levels), saturate,
+        on = levels_key(levels)
+        key = (traffic, on, saturate,
                None if extra is None else (extra.name, extra.queue_count,
                                            extra.stages[0].base_time,
                                            extra.offered_rate))
@@ -206,7 +190,8 @@ class SimulatorRunner:
         if saturate:
             spec = dataclasses.replace(spec, offered_rate=math.inf)
         nfs = [(spec, traffic)]
-        for bench in self._benches(levels):
+        for value, level in on:
+            bench = make_benchmark_nf(ResourceKind(value), level, name=f"bench-{value}")
             nfs.append((bench, DEFAULT_TRAFFIC))
         if extra is not None:
             nfs.append((extra, DEFAULT_TRAFFIC))
@@ -241,14 +226,13 @@ class SimulatorRunner:
     def sample(
         self, scenario_id: str, traffic: TrafficProfile, levels
     ) -> ThroughputSample:
-        scenario, result = self._execute(traffic, levels or {})
+        result = self.run(traffic, levels)
         name = self.spec.name
         return ThroughputSample(
             scenario_id=scenario_id,
             target_nf=name,
             traffic=traffic,
             competitor_counters=result.competitor_counters(name),
-            competitor_match_rate=result.competitor_match_rate(name, scenario),
             observed_throughput=result.per_nf_throughput[name],
         )
 

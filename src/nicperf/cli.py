@@ -173,17 +173,7 @@ def cmd_simulate(args) -> int:
         doc["seed"] = args.seed
     scenario = ContentionScenario.from_dict(doc)
     result = run_scenario(scenario)
-    out_doc = {
-        "schema": "simulation-result",
-        "per_nf_throughput": result.per_nf_throughput,
-        "per_nf_counters": {n: c.to_dict() for n, c in result.per_nf_counters.items()},
-        "per_nf_stage_throughput": {
-            n: {k.value: v for k, v in st.items()}
-            for n, st in result.per_nf_stage_throughput.items()
-        },
-        "bottleneck": {n: k.value for n, k in result.bottleneck.items()},
-    }
-    _dump_json(out_doc, args.out)
+    _dump_json({"schema": "simulation-result", **result.to_dict()}, args.out)
     _write_manifest("simulate", args, [args.scenario], [args.out])
     return 0
 
@@ -304,7 +294,7 @@ def _load_arrivals(path: str) -> list[NfInstance]:
                 bpath = base / bpath
             predictor = NfPredictor.from_json(bpath.read_text())
         else:
-            predictor = NfPredictor.from_json(json.dumps(entry["bundle"]))
+            predictor = NfPredictor.from_dict(entry["bundle"])
         out.append(NfInstance(
             instance_id=entry["instance_id"],
             predictor=predictor,
@@ -436,8 +426,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--seed", type=int, default=None,
                        help="override the seed recorded in the inputs")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="max concurrent workers for batch work")
         p.set_defaults(func=fn)
         return p
 
@@ -467,6 +455,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--testgrid", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="max concurrent worker processes")
 
     p = add("schedule", cmd_schedule, help="place an arrival sequence")
     p.add_argument("--arrivals", required=True)

@@ -19,6 +19,7 @@ __all__ = [
     "PatternReport",
     "compose_pipeline",
     "compose_rtc",
+    "compose_rates",
     "detect_pattern",
 ]
 
@@ -60,6 +61,14 @@ def compose_rtc(d: PerResourceDrops) -> float:
     """
     inv = sum(1.0 / (d.t_solo - drop) for drop in d.drops.values())
     return 1.0 / (inv - (d.r - 1) / d.t_solo)
+
+
+def compose_rates(pattern: ExecutionPattern, rates: Sequence[float]) -> float:
+    """End-to-end rate of stages running at the given rates: the slowest
+    stage of a pipeline, or summed per-packet times under run-to-completion."""
+    if pattern is ExecutionPattern.PIPELINE:
+        return min(rates)
+    return 1.0 / sum(1.0 / r for r in rates)
 
 
 class AmbiguousPatternError(RuntimeError):

@@ -1,4 +1,4 @@
-"""Shared domain types and accuracy metrics.
+"""Shared domain types, their dict codec, and accuracy metrics.
 
 Everything here is an immutable value type, safe to share between
 concurrent simulation or profiling tasks.
@@ -6,9 +6,15 @@ concurrent simulation or profiling tasks.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import math
+import types
+import typing
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "ResourceKind",
@@ -19,6 +25,7 @@ __all__ = [
     "ZERO_COUNTERS",
     "ThroughputSample",
     "InvalidInputError",
+    "Codec",
     "mape",
     "band_accuracy",
 ]
@@ -26,6 +33,112 @@ __all__ = [
 
 class InvalidInputError(ValueError):
     """Raised when an operation's preconditions are violated."""
+
+
+#: Wire form of ``math.inf``: an always-backlogged offered rate.
+_INF_WIRE = "saturating"
+
+
+def _float_in(v) -> float:
+    return math.inf if v == _INF_WIRE else float(v)
+
+
+def _float_out(v: float):
+    return _INF_WIRE if v == math.inf else v
+
+
+def _bool_in(v) -> bool:
+    if not isinstance(v, bool):
+        raise InvalidInputError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _same(v):
+    return v
+
+
+def _converters(hint) -> tuple[Callable, Callable]:
+    """(decode, encode) pair for one field type hint."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is float:
+        return _float_in, _float_out
+    if hint is bool:
+        return _bool_in, _same
+    if hint in (int, str):
+        return hint, _same
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint, lambda v: v.value
+    if isinstance(hint, type) and issubclass(hint, Codec):
+        return hint.from_dict, hint.to_dict
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 \
+            and type(None) in args:
+        dec, enc = _converters(args[0] if args[1] is type(None) else args[1])
+        return ((lambda v: None if v is None else dec(v)),
+                (lambda v: None if v is None else enc(v)))
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        dec, enc = _converters(args[0])
+        return (lambda v: tuple([dec(e) for e in v])), (lambda v: [enc(e) for e in v])
+    if origin is tuple:
+        pairs = [_converters(a) for a in args]
+
+        def dec_fixed(v):
+            if len(v) != len(pairs):
+                raise InvalidInputError(f"expected {len(pairs)} items, got {len(v)}")
+            return tuple([d(e) for (d, _), e in zip(pairs, v)])
+
+        return dec_fixed, lambda v: [enc(e) for (_, enc), e in zip(pairs, v)]
+    if origin is list:
+        dec, enc = _converters(args[0])
+        return (lambda v: [dec(e) for e in v]), (lambda v: [enc(e) for e in v])
+    if origin in (dict, Mapping):
+        (kdec, kenc), (vdec, venc) = _converters(args[0]), _converters(args[1])
+        return ((lambda v: {kdec(k): vdec(e) for k, e in v.items()}),
+                (lambda v: {kenc(k): venc(e) for k, e in v.items()}))
+    raise TypeError(f"no wire format for type {hint!r}")
+
+
+@functools.cache
+def _plan(cls) -> tuple:
+    """Per field of ``cls``: (name, decode, encode, required)."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, *_converters(hints[f.name]),
+         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    )
+
+
+class Codec:
+    """``to_dict``/``from_dict`` for a dataclass whose wire format is its fields.
+
+    Output: enums (values and dict keys) as their ``.value``, nested
+    dataclasses as dicts, tuples as lists, ``math.inf`` as ``"saturating"``.
+    Input is coerced by each field's type hint.  A missing key takes the
+    field's default; unknown keys are ignored, so rows written with fields
+    since removed still load.  A bad or missing value raises
+    InvalidInputError naming the class and the key.
+    """
+
+    def to_dict(self) -> dict:
+        return {name: enc(getattr(self, name))
+                for name, _, enc, _ in _plan(type(self))}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"{cls.__name__}: expected an object, got {d!r}")
+        kw = {}
+        for name, dec, _, required in _plan(cls):
+            if name in d:
+                try:
+                    kw[name] = dec(d[name])
+                except InvalidInputError:
+                    raise
+                except (ValueError, TypeError, AttributeError) as exc:
+                    raise InvalidInputError(f"{cls.__name__}.{name}: {exc}") from None
+            elif required:
+                raise InvalidInputError(f"{cls.__name__}: missing key {name!r}")
+        return cls(**kw)
 
 
 class ResourceKind(str, Enum):
@@ -46,7 +159,7 @@ class ExecutionPattern(str, Enum):
 
 
 @dataclass(frozen=True)
-class TrafficProfile:
+class TrafficProfile(Codec):
     """Input-traffic attributes of one NF.
 
     flow_count: concurrent flows
@@ -59,14 +172,16 @@ class TrafficProfile:
     mtbr: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.flow_count < 1:
-            raise InvalidInputError(f"flow_count must be >= 1, got {self.flow_count}")
+        if not 1 <= self.flow_count < math.inf:
+            raise InvalidInputError(
+                f"flow_count must be finite and >= 1, got {self.flow_count}"
+            )
         if not 64 <= self.packet_size <= 1500:
             raise InvalidInputError(
                 f"packet_size must be in [64, 1500], got {self.packet_size}"
             )
-        if self.mtbr < 0:
-            raise InvalidInputError(f"mtbr must be >= 0, got {self.mtbr}")
+        if not 0 <= self.mtbr < math.inf:
+            raise InvalidInputError(f"mtbr must be finite and >= 0, got {self.mtbr}")
 
     def attribute(self, name: str) -> float:
         return float(getattr(self, name))
@@ -75,17 +190,6 @@ class TrafficProfile:
         d = asdict(self)
         d.update(kw)
         return TrafficProfile(**d)
-
-    def to_dict(self) -> dict:
-        return {
-            "flow_count": self.flow_count,
-            "packet_size": self.packet_size,
-            "mtbr": self.mtbr,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrafficProfile":
-        return cls(int(d["flow_count"]), int(d["packet_size"]), float(d["mtbr"]))
 
 
 #: The default traffic profile: 16K flows, 1500B packets, 600 matches/MB.
@@ -96,7 +200,7 @@ TRAFFIC_ATTRIBUTES = ("flow_count", "packet_size", "mtbr")
 
 
 @dataclass(frozen=True)
-class CounterSnapshot:
+class CounterSnapshot(Codec):
     """The 7 memory-subsystem performance counters observed during a co-run.
 
     ipc: instructions per cycle
@@ -116,8 +220,11 @@ class CounterSnapshot:
 
     def __post_init__(self) -> None:
         for name in ("ipc", "irt", "l2crd", "l2cwr", "memrd", "memwr", "wss"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"counter {name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidInputError(
+                    f"counter {name} must be finite and non-negative, "
+                    f"got {getattr(self, name)}"
+                )
 
     @property
     def car(self) -> float:
@@ -137,66 +244,27 @@ class CounterSnapshot:
             wss=self.wss + other.wss,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "ipc": self.ipc,
-            "irt": self.irt,
-            "l2crd": self.l2crd,
-            "l2cwr": self.l2cwr,
-            "memrd": self.memrd,
-            "memwr": self.memwr,
-            "wss": self.wss,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CounterSnapshot":
-        return cls(**{k: float(d[k]) for k in
-                      ("ipc", "irt", "l2crd", "l2cwr", "memrd", "memwr", "wss")})
-
 
 ZERO_COUNTERS = CounterSnapshot()
 
 
 @dataclass(frozen=True)
-class ThroughputSample:
+class ThroughputSample(Codec):
     """One profiling observation: the row format of all datasets.
 
     competitor_counters aggregates (sums) the counters of every co-located
-    competitor; competitor_match_rate is their total accelerator match rate
-    in matches/s.
+    competitor.
     """
 
     scenario_id: str
     target_nf: str
     traffic: TrafficProfile
     competitor_counters: CounterSnapshot
-    competitor_match_rate: float
     observed_throughput: float
 
     def __post_init__(self) -> None:
         if self.observed_throughput <= 0:
             raise InvalidInputError("observed_throughput must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "target_nf": self.target_nf,
-            "traffic": self.traffic.to_dict(),
-            "competitor_counters": self.competitor_counters.to_dict(),
-            "competitor_match_rate": self.competitor_match_rate,
-            "observed_throughput": self.observed_throughput,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ThroughputSample":
-        return cls(
-            scenario_id=str(d["scenario_id"]),
-            target_nf=str(d["target_nf"]),
-            traffic=TrafficProfile.from_dict(d["traffic"]),
-            competitor_counters=CounterSnapshot.from_dict(d["competitor_counters"]),
-            competitor_match_rate=float(d["competitor_match_rate"]),
-            observed_throughput=float(d["observed_throughput"]),
-        )
 
 
 def _check_vectors(predicted: Sequence[float], actual: Sequence[float]) -> None:

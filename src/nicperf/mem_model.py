@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CounterSnapshot, InvalidInputError, ThroughputSample, TrafficProfile
+from .core import (
+    Codec,
+    CounterSnapshot,
+    InvalidInputError,
+    ThroughputSample,
+    TrafficProfile,
+)
 
 __all__ = [
     "FEATURE_NAMES",
@@ -45,16 +51,16 @@ class DegenerateDataWarning(UserWarning):
 
 
 def feature_vector(counters: CounterSnapshot, traffic: TrafficProfile) -> np.ndarray:
-    c = counters.to_dict()
+    c = counters
     return np.array(
-        [c[k] for k in FEATURE_NAMES[:7]]
-        + [traffic.flow_count, traffic.packet_size, traffic.mtbr],
+        [c.ipc, c.irt, c.l2crd, c.l2cwr, c.memrd, c.memwr, c.wss,
+         traffic.flow_count, traffic.packet_size, traffic.mtbr],
         dtype=float,
     )
 
 
 @dataclass(frozen=True)
-class GbrHyperParams:
+class GbrHyperParams(Codec):
     n_trees: int = 200
     max_depth: int = 4
     learning_rate: float = 0.1
@@ -62,30 +68,9 @@ class GbrHyperParams:
     min_samples_leaf: int = 2
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "subsample": self.subsample,
-            "min_samples_leaf": self.min_samples_leaf,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GbrHyperParams":
-        return cls(
-            n_trees=int(d["n_trees"]),
-            max_depth=int(d["max_depth"]),
-            learning_rate=float(d["learning_rate"]),
-            subsample=float(d["subsample"]),
-            min_samples_leaf=int(d.get("min_samples_leaf", 2)),
-            seed=int(d.get("seed", 0)),
-        )
-
 
 @dataclass
-class _Tree:
+class _Tree(Codec):
     """Flat-array binary regression tree.
 
     Internal node i splits on feature[i] at threshold[i]; left/right hold
@@ -125,25 +110,6 @@ class _Tree:
                     i = self.right[i]
             out[row] = self.value[i]
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_Tree":
-        return cls(
-            feature=[int(v) for v in d["feature"]],
-            threshold=[float(v) for v in d["threshold"]],
-            left=[int(v) for v in d["left"]],
-            right=[int(v) for v in d["right"]],
-            value=[float(v) for v in d["value"]],
-        )
 
 
 def _best_split(
@@ -232,8 +198,8 @@ class GbrModel:
             out += lr * tree.predict(x)
         return np.maximum(out, 0.0)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "schema": "gbr-model",
             "schema_version": SCHEMA_VERSION,
             "feature_order": list(self.feature_names),
@@ -241,11 +207,9 @@ class GbrModel:
             "hyper": self.hyper.to_dict(),
             "trees": [t.to_dict() for t in self.trees],
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "GbrModel":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "GbrModel":
         if doc.get("schema") != "gbr-model":
             raise InvalidInputError("not a gbr-model file")
         return cls(
@@ -254,6 +218,13 @@ class GbrModel:
             hyper=GbrHyperParams.from_dict(doc["hyper"]),
             feature_names=tuple(doc["feature_order"]),
         )
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "GbrModel":
+        return cls.from_dict(json.loads(text))
 
 
 def train(

@@ -24,9 +24,16 @@ import numpy as np
 
 from . import mem_model
 from .accel_model import AccelModelParams, infer_params, predict_at_offered_load
-from .composer import PerResourceDrops, compose_pipeline, compose_rtc, detect_pattern
+from .composer import (
+    PerResourceDrops,
+    compose_pipeline,
+    compose_rates,
+    compose_rtc,
+    detect_pattern,
+)
 from .core import (
     DEFAULT_TRAFFIC,
+    Codec,
     CounterSnapshot,
     ExecutionPattern,
     InvalidInputError,
@@ -133,21 +140,12 @@ class ContentionDescriptor:
 
 
 @dataclasses.dataclass(frozen=True)
-class PredictionResult:
+class PredictionResult(Codec):
     throughput: float
     t_solo: float
-    drops: dict
-    stage_rates: dict
+    drops: dict[ResourceKind, float]
+    stage_rates: dict[ResourceKind, float]
     saturated: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "throughput": self.throughput,
-            "t_solo": self.t_solo,
-            "drops": {k.value: v for k, v in self.drops.items()},
-            "stage_rates": {k.value: v for k, v in self.stage_rates.items()},
-            "saturated": self.saturated,
-        }
 
 
 class _SoloTable:
@@ -287,7 +285,7 @@ class NfPredictor:
         rates = [self.solo_table.rate(traffic)]
         for kind, params in self.accel_models.items():
             rates.append(params.solo_rate(traffic.attribute(ACCEL_ATTRIBUTE[kind])))
-        return _compose_rates(self.pattern, rates)
+        return compose_rates(self.pattern, rates)
 
     # -- prediction ----------------------------------------------------------
 
@@ -333,7 +331,7 @@ class NfPredictor:
         saturated = False
         for kind, r_cont in rates.items():
             alone = list(rates_with(self, traffic, kind, r_cont))
-            t_alone = _compose_rates(self.pattern, alone)
+            t_alone = compose_rates(self.pattern, alone)
             drop = max(0.0, t_solo - t_alone)
             if drop >= t_solo:
                 drop = 0.99 * t_solo
@@ -360,26 +358,23 @@ class NfPredictor:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "schema": BUNDLE_SCHEMA,
             "schema_version": BUNDLE_VERSION,
             "nf": self.nf_name,
             "pattern": self.pattern.value,
             "solo_table": self.solo_table.to_dict(),
-            "mem_model": None if self.mem_model is None
-            else json.loads(self.mem_model.to_json()),
+            "mem_model": None if self.mem_model is None else self.mem_model.to_dict(),
             "accel_models": {
                 kind.value: p.to_dict() for kind, p in self.accel_models.items()
             },
             "footprint": self.footprint.to_dict(),
             "metadata": self.metadata,
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "NfPredictor":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "NfPredictor":
         if doc.get("schema") != BUNDLE_SCHEMA:
             raise InvalidInputError("not a predictor bundle file")
         mem = doc.get("mem_model")
@@ -387,7 +382,7 @@ class NfPredictor:
             nf_name=doc["nf"],
             pattern=ExecutionPattern(doc["pattern"]),
             solo_table=_SoloTable.from_dict(doc["solo_table"]),
-            mem_model=None if mem is None else GbrModel.from_json(json.dumps(mem)),
+            mem_model=None if mem is None else GbrModel.from_dict(mem),
             accel_models={
                 ResourceKind(k): AccelModelParams.from_dict(v)
                 for k, v in doc.get("accel_models", {}).items()
@@ -396,11 +391,12 @@ class NfPredictor:
             metadata=doc.get("metadata", {}),
         )
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-def _compose_rates(pattern: ExecutionPattern, rates: list[float]) -> float:
-    if pattern is ExecutionPattern.PIPELINE:
-        return min(rates)
-    return 1.0 / sum(1.0 / r for r in rates)
+    @classmethod
+    def from_json(cls, text: str) -> "NfPredictor":
+        return cls.from_dict(json.loads(text))
 
 
 def rates_with(p: NfPredictor, traffic: TrafficProfile,

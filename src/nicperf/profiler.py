@@ -26,11 +26,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_TRAFFIC,
+    Codec,
     InvalidInputError,
     ResourceKind,
     ThroughputSample,
     TrafficProfile,
 )
+from .simulator import levels_key
 
 __all__ = [
     "ProfilingConfig",
@@ -69,7 +71,7 @@ def _make_traffic(values: dict[str, float]) -> TrafficProfile:
 
 
 @dataclasses.dataclass(frozen=True)
-class ProfilingConfig:
+class ProfilingConfig(Codec):
     """Hyperparameters of one profiling run.
 
     eps0 (attribute pruning) and eps1 (recursion stop) default to 5% of
@@ -106,33 +108,6 @@ class ProfilingConfig:
                                  for n, a, b in self.attributes))
         object.__setattr__(self, "contention_resources",
                            tuple(ResourceKind(r) for r in self.contention_resources))
-
-    def to_dict(self) -> dict:
-        return {
-            "attributes": [list(a) for a in self.attributes],
-            "quota": self.quota,
-            "eps0": self.eps0,
-            "eps1": self.eps1,
-            "m": self.m,
-            "seed": self.seed,
-            "min_box_frac": self.min_box_frac,
-            "contention_resources": [r.value for r in self.contention_resources],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProfilingConfig":
-        return cls(
-            attributes=tuple((a[0], a[1], a[2]) for a in d["attributes"]),
-            quota=int(d["quota"]),
-            eps0=None if d.get("eps0") is None else float(d["eps0"]),
-            eps1=None if d.get("eps1") is None else float(d["eps1"]),
-            m=int(d.get("m", 10)),
-            seed=int(d.get("seed", 0)),
-            min_box_frac=float(d.get("min_box_frac", 1.0 / 512.0)),
-            contention_resources=tuple(
-                ResourceKind(r) for r in d.get("contention_resources", ["memory"])
-            ),
-        )
 
 
 @dataclasses.dataclass
@@ -175,18 +150,9 @@ def _draw_levels(rng, resources) -> dict:
     return out
 
 
-def _level_key(v):
-    return tuple(v) if isinstance(v, tuple) else float(v)
-
-
-def _level_on(v) -> bool:
-    return max(v) > 0 if isinstance(v, tuple) else v > 0
-
-
 def profile_one(book: _Book, traffic: TrafficProfile, levels, runner) -> float:
     """One (possibly memoized) co-run; counts only unseen configurations."""
-    key = (traffic, tuple(sorted((k.value, _level_key(v))
-                                 for k, v in levels.items() if _level_on(v))))
+    key = (traffic, levels_key(levels))
     hit = book._memo.get(key)
     if hit is not None:
         return hit

@@ -26,7 +26,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .composer import compose_rates
 from .core import (
+    Codec,
     CounterSnapshot,
     ExecutionPattern,
     InvalidInputError,
@@ -45,6 +47,7 @@ __all__ = [
     "memory_throughput",
     "run_scenario",
     "make_benchmark_nf",
+    "levels_key",
     "BENCH_CAR_MAX",
     "BENCH_WSS_MAX",
 ]
@@ -66,7 +69,7 @@ class ConvergenceError(RuntimeError):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NfStage:
+class NfStage(Codec):
     """One processing block of an NF; uses exactly one resource.
 
     base_time is the seconds-per-packet on this resource at zero traffic
@@ -94,24 +97,9 @@ class NfStage:
         t += self.traffic_coeffs.get("byte_cost", 0.0) * traffic.packet_size
         return t
 
-    def to_dict(self) -> dict:
-        return {
-            "resource": self.resource.value,
-            "base_time": self.base_time,
-            "traffic_coeffs": dict(sorted(self.traffic_coeffs.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NfStage":
-        return cls(
-            resource=ResourceKind(d["resource"]),
-            base_time=float(d["base_time"]),
-            traffic_coeffs={k: float(v) for k, v in d.get("traffic_coeffs", {}).items()},
-        )
-
 
 @dataclass(frozen=True)
-class NfSpec:
+class NfSpec(Codec):
     """A synthetic NF definition; drives the simulator.
 
     The working set grows linearly with flow count and is capped:
@@ -162,52 +150,13 @@ class NfSpec:
             return self.wss_override
         return min(self.wss_base + self.wss_per_flow * traffic.flow_count, self.wss_cap)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pattern": self.pattern.value,
-            "stages": [s.to_dict() for s in self.stages],
-            "queue_count": self.queue_count,
-            "wss_base": self.wss_base,
-            "wss_per_flow": self.wss_per_flow,
-            "wss_cap": self.wss_cap,
-            "l2_refs_per_packet": self.l2_refs_per_packet,
-            "instructions_per_packet": self.instructions_per_packet,
-            "offered_rate": None if self.offered_rate is None
-            else ("saturating" if math.isinf(self.offered_rate) else self.offered_rate),
-            "car_override": self.car_override,
-            "wss_override": self.wss_override,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NfSpec":
-        rate = d.get("offered_rate")
-        if rate == "saturating":
-            rate = math.inf
-        elif rate is not None:
-            rate = float(rate)
-        return cls(
-            name=str(d["name"]),
-            pattern=ExecutionPattern(d["pattern"]),
-            stages=tuple(NfStage.from_dict(s) for s in d["stages"]),
-            queue_count=int(d.get("queue_count", 1)),
-            wss_base=float(d.get("wss_base", 1e6)),
-            wss_per_flow=float(d.get("wss_per_flow", 0.0)),
-            wss_cap=float(d.get("wss_cap", 64e6)),
-            l2_refs_per_packet=float(d.get("l2_refs_per_packet", 50.0)),
-            instructions_per_packet=float(d.get("instructions_per_packet", 4000.0)),
-            offered_rate=rate,
-            car_override=None if d.get("car_override") is None else float(d["car_override"]),
-            wss_override=None if d.get("wss_override") is None else float(d["wss_override"]),
-        )
-
 
 # --------------------------------------------------------------------------
 # Memory subsystem
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MemParams:
+class MemParams(Codec):
     """Piece-wise-linear memory-penalty parameters (scenario ground truth).
 
     Capacity of a memory stage is its solo rate scaled by two factors:
@@ -228,21 +177,6 @@ class MemParams:
     car_floor_frac: float = 0.60
     miss_base: float = 0.04
     miss_sat: float = 0.45
-
-    def to_dict(self) -> dict:
-        return {
-            "wss_ramp_bytes": self.wss_ramp_bytes,
-            "wss_floor_frac": self.wss_floor_frac,
-            "car_knee": self.car_knee,
-            "car_sat": self.car_sat,
-            "car_floor_frac": self.car_floor_frac,
-            "miss_base": self.miss_base,
-            "miss_sat": self.miss_sat,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MemParams":
-        return cls(**{k: float(v) for k, v in d.items()})
 
 
 def _wss_ramp_frac(total_wss: float, llc_bytes: float, params: MemParams) -> float:
@@ -392,7 +326,7 @@ def _default_horizon(specs: Sequence[tuple[int, float, float]], cycles: int) -> 
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ContentionScenario:
+class ContentionScenario(Codec):
     """A set of co-located NFs plus their traffic: one simulated co-run."""
 
     nfs: tuple[tuple[NfSpec, TrafficProfile], ...]
@@ -412,37 +346,20 @@ class ContentionScenario:
             raise InvalidInputError("NF names within a scenario must be unique")
         object.__setattr__(self, "nfs", tuple((s, t) for s, t in self.nfs))
 
+    # On the wire each co-located NF is a {"spec", "traffic"} object.
     def to_dict(self) -> dict:
-        return {
-            "nfs": [
-                {"spec": spec.to_dict(), "traffic": traffic.to_dict()}
-                for spec, traffic in self.nfs
-            ],
-            "seed": self.seed,
-            "llc_bytes": self.llc_bytes,
-            "mem_params": self.mem_params.to_dict(),
-            "noise_sigma": self.noise_sigma,
-            "sim_cycles": self.sim_cycles,
-        }
+        d = super().to_dict()
+        d["nfs"] = [{"spec": spec, "traffic": traffic} for spec, traffic in d["nfs"]]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ContentionScenario":
-        return cls(
-            nfs=tuple(
-                (NfSpec.from_dict(e["spec"]), TrafficProfile.from_dict(e["traffic"]))
-                for e in d["nfs"]
-            ),
-            seed=int(d.get("seed", 0)),
-            llc_bytes=float(d.get("llc_bytes", 6 * 2**20)),
-            mem_params=MemParams.from_dict(d.get("mem_params", {})) if d.get("mem_params")
-            else MemParams(),
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-            sim_cycles=int(d.get("sim_cycles", 2500)),
-        )
+        return super().from_dict(
+            {**d, "nfs": [(e["spec"], e["traffic"]) for e in d["nfs"]]})
 
 
 @dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Codec):
     per_nf_throughput: dict[str, float]
     per_nf_counters: dict[str, CounterSnapshot]
     per_nf_stage_throughput: dict[str, dict[ResourceKind, float]]
@@ -456,19 +373,6 @@ class SimulationResult:
                 total = total + snap
         return total
 
-    def competitor_match_rate(self, target: str, scenario: ContentionScenario) -> float:
-        total = 0.0
-        for spec, traffic in scenario.nfs:
-            if spec.name == target:
-                continue
-            stage = spec.stage(ResourceKind.REGEX_ACCEL)
-            if stage is None:
-                continue
-            # Every packet an NF gets through traverses its regex stage once.
-            rate = self.per_nf_throughput[spec.name]
-            total += rate * traffic.mtbr * traffic.packet_size / 1e6
-        return total
-
 
 # CPU emission constants for synthetic counters (2 cores at 2.5 GHz).
 _CPU_HZ = 2 * 2.5e9
@@ -478,12 +382,6 @@ _MEM_READ_SHARE = 0.7
 # matches the instructions_per_packet / l2_refs_per_packet ratio of the
 # regular NF definitions so counter features stay on one scale.
 _IRT_PER_L2REF = 80.0
-
-
-def _compose(pattern: ExecutionPattern, stage_rates: Sequence[float]) -> float:
-    if pattern is ExecutionPattern.PIPELINE:
-        return min(stage_rates)
-    return 1.0 / sum(1.0 / r for r in stage_rates)
 
 
 def run_scenario(scenario: ContentionScenario) -> SimulationResult:
@@ -515,7 +413,8 @@ def run_scenario(scenario: ContentionScenario) -> SimulationResult:
 
     # Initial throughput guess: solo composition.
     thr = {
-        s.name: _compose(s.pattern, list(solo_rates[s.name].values())) for s in specs
+        s.name: compose_rates(s.pattern, list(solo_rates[s.name].values()))
+        for s in specs
     }
     stage_thr: dict[str, dict[ResourceKind, float]] = {n: {} for n in names}
 
@@ -576,7 +475,7 @@ def run_scenario(scenario: ContentionScenario) -> SimulationResult:
         new_thr = {}
         for s in specs:
             rates = [new_stage_thr[s.name][k] for k in unit_times[s.name]]
-            t = _compose(s.pattern, rates)
+            t = compose_rates(s.pattern, rates)
             if s.offered_rate is not None and not math.isinf(s.offered_rate):
                 t = min(t, s.offered_rate)
             new_thr[s.name] = t
@@ -699,3 +598,15 @@ def make_benchmark_nf(
         instructions_per_packet=0.0,
         offered_rate=rate,
     )
+
+
+def levels_key(levels) -> tuple:
+    """Canonical form of a contention-level mapping (ResourceKind -> level):
+    the switched-on levels as sorted (resource value, level) pairs.  A
+    memory level may be a (car_level, wss_level) pair; it is on when
+    either part is."""
+    out = []
+    for kind, v in levels.items():
+        if max(v) > 0 if isinstance(v, tuple) else v > 0:
+            out.append((kind.value, tuple(v) if isinstance(v, tuple) else float(v)))
+    return tuple(sorted(out))

@@ -158,6 +158,13 @@ def test_diagnose_sweep(flowmonitor_bundle, tmp_path):
     assert rows[-1][0] == "summary_agreement_pct"
     assert float(rows[-1][-1]) == 100.0
 
+    # Without a "traffic" key the sweep runs at the default traffic.
+    sweep.write_text(json.dumps({"attribute": "mtbr", "values": [1100]}))
+    assert main(["diagnose", "--bundle", str(flowmonitor_bundle),
+                 "--sweep", str(sweep), "--out", str(out)]) == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[1][1:3] == ["1100", "regex_accel"]
+
 
 def test_report_aggregates(flowmonitor_bundle, tmp_path):
     sim_out = tmp_path / "sim.json"

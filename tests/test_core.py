@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from nicperf.core import (
@@ -74,6 +76,11 @@ def test_traffic_profile_defaults_and_bounds():
         TrafficProfile(packet_size=1501)
     with pytest.raises(InvalidInputError):
         TrafficProfile(mtbr=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError):
+            TrafficProfile(mtbr=bad)
+        with pytest.raises(InvalidInputError):
+            TrafficProfile(flow_count=bad)
 
 
 def test_traffic_profile_replace_and_roundtrip():
@@ -81,6 +88,8 @@ def test_traffic_profile_replace_and_roundtrip():
     assert t.mtbr == 42.0
     assert t.flow_count == 16000
     assert TrafficProfile.from_dict(t.to_dict()) == t
+    # A missing key takes the field's default.
+    assert TrafficProfile.from_dict({"mtbr": 42.0}) == t
 
 
 def test_counter_snapshot_car_and_sum():
@@ -98,6 +107,9 @@ def test_counter_snapshot_car_and_sum():
 def test_counter_snapshot_rejects_negative():
     with pytest.raises(InvalidInputError):
         CounterSnapshot(wss=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError):
+            CounterSnapshot(ipc=bad)
 
 
 def test_counter_snapshot_roundtrip():
@@ -112,9 +124,16 @@ def test_throughput_sample_roundtrip_and_validation():
         target_nf="nat",
         traffic=TrafficProfile(1000, 512, 0.0),
         competitor_counters=CounterSnapshot(l2crd=1e6, l2cwr=1e6, wss=4e6),
-        competitor_match_rate=0.0,
         observed_throughput=123456.0,
     )
-    assert ThroughputSample.from_dict(row.to_dict()) == row
+    doc = row.to_dict()
+    assert ThroughputSample.from_dict(doc) == row
+    # Rows written before competitor_match_rate was dropped still load.
+    assert ThroughputSample.from_dict({**doc, "competitor_match_rate": 0.0}) == row
+    with pytest.raises(InvalidInputError, match="observed_throughput"):
+        ThroughputSample.from_dict({**doc, "observed_throughput": "abc"})
+    del doc["observed_throughput"]
+    with pytest.raises(InvalidInputError, match="observed_throughput"):
+        ThroughputSample.from_dict(doc)
     with pytest.raises(InvalidInputError):
-        ThroughputSample("s", "nat", TrafficProfile(), ZERO_COUNTERS, 0.0, 0.0)
+        ThroughputSample("s", "nat", TrafficProfile(), ZERO_COUNTERS, 0.0)

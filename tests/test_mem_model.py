@@ -24,7 +24,6 @@ def _sample(i, counters, throughput, traffic=None):
         target_nf="t",
         traffic=traffic or TrafficProfile(),
         competitor_counters=counters,
-        competitor_match_rate=0.0,
         observed_throughput=throughput,
     )
 

@@ -201,6 +201,9 @@ def test_scenario_roundtrip():
         nfs=(
             (_mem_nf(), TrafficProfile(100, 256, 10.0)),
             (make_benchmark_nf(ResourceKind.REGEX_ACCEL, 0.3), DEFAULT_TRAFFIC),
+            # Level 1.0 is a saturating bench: its offered_rate is inf.
+            (make_benchmark_nf(ResourceKind.REGEX_ACCEL, 1.0, name="sat-bench"),
+             DEFAULT_TRAFFIC),
         ),
         seed=3,
         noise_sigma=0.01,
