@@ -159,17 +159,16 @@ class PlacementStrategy(str, enum.Enum):
 
 def _group_descriptor(
     target: NfInstance, others: list[NfInstance], throughputs: dict,
-    feeds: dict,
+    feeds: dict, wss: dict,
 ) -> ContentionDescriptor:
     # The miss fraction every NF sees depends on the combined working set
     # of the whole NIC, target included.
-    total_wss = sum(
-        inst.predictor.footprint.wss(inst.traffic) for inst in [target] + others
-    )
+    total_wss = sum(wss[inst.instance_id] for inst in [target] + others)
     counters = ZERO_COUNTERS
     for other in others:
         counters = counters + other.predictor.footprint.counters(
-            other.traffic, throughputs[other.instance_id], total_wss=total_wss
+            wss[other.instance_id], throughputs[other.instance_id],
+            total_wss=total_wss,
         )
     accel = {}
     for kind in target.predictor.accel_models:
@@ -203,12 +202,14 @@ def predict_group(instances: list[NfInstance]) -> dict:
         for inst in instances
     }
     feeds = dict(thr)
+    wss = {inst.instance_id: inst.predictor.footprint.wss(inst.traffic)
+           for inst in instances}
     results: dict[str, PredictionResult] = {}
     for _ in range(_GROUP_MAX_ITER):
         worst = 0.0
         for inst in instances:
             others = [o for o in instances if o.instance_id != inst.instance_id]
-            desc = _group_descriptor(inst, others, thr, feeds)
+            desc = _group_descriptor(inst, others, thr, feeds, wss)
             res = inst.predictor.predict(inst.traffic, desc)
             results[inst.instance_id] = res
             old = thr[inst.instance_id]

@@ -232,32 +232,48 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _evaluate_point(payload) -> tuple[float, float]:
-    """Worker: one (traffic, levels) point -> (actual, predicted)."""
-    bundle_text, nf, seed, traffic_doc, levels_doc = payload
+def _evaluator(bundle_text: str, seed: int) -> tuple[NfPredictor, SimulatorRunner]:
     bundle = NfPredictor.from_json(bundle_text)
-    runner = SimulatorRunner(get_nf(nf), seed=seed)
-    traffic = TrafficProfile.from_dict(traffic_doc)
+    return bundle, SimulatorRunner(get_nf(bundle.nf_name), seed=seed)
+
+
+def _evaluate_point(bundle: NfPredictor, runner: SimulatorRunner,
+                    point: dict) -> tuple[float, float]:
+    """One grid point -> (actual, predicted)."""
+    levels_doc = point.get("levels", {})
+    traffic = TrafficProfile.from_dict(point["traffic"])
     sample = runner.sample("eval", traffic, _parse_levels(levels_doc))
     desc = _bench_descriptor(bundle, levels_doc, sample.competitor_counters)
     pred = bundle.predict(traffic, desc)
     return sample.observed_throughput, pred.throughput
 
 
+#: The bundle and runner of an ``evaluate --jobs`` worker process, set
+#: once by the pool's initializer.
+_worker_evaluator: tuple | None = None
+
+
+def _init_worker(bundle_text: str, seed: int) -> None:
+    global _worker_evaluator
+    _worker_evaluator = _evaluator(bundle_text, seed)
+
+
+def _worker_point(point: dict) -> tuple[float, float]:
+    return _evaluate_point(*_worker_evaluator, point)
+
+
 def cmd_evaluate(args) -> int:
     bundle_text = Path(args.bundle).read_text()
-    bundle = NfPredictor.from_json(bundle_text)
-    grid = _load_json(args.testgrid)
     seed = args.seed or 0
-    payloads = [
-        (bundle_text, bundle.nf_name, seed, p["traffic"], p.get("levels", {}))
-        for p in grid["points"]
-    ]
+    # Parsed here also with --jobs, so a bad bundle fails before any worker starts.
+    evaluator = _evaluator(bundle_text, seed)
+    grid = _load_json(args.testgrid)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            pairs = list(pool.map(_evaluate_point, payloads))
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
+                                 initargs=(bundle_text, seed)) as pool:
+            pairs = list(pool.map(_worker_point, grid["points"]))
     else:
-        pairs = [_evaluate_point(p) for p in payloads]
+        pairs = [_evaluate_point(*evaluator, p) for p in grid["points"]]
 
     actuals = [a for a, _ in pairs]
     preds = [p for _, p in pairs]
@@ -286,13 +302,16 @@ def cmd_evaluate(args) -> int:
 def _load_arrivals(path: str) -> list[NfInstance]:
     doc = _load_json(path)
     base = Path(path).parent
+    parsed: dict[Path, NfPredictor] = {}
     out = []
     for entry in doc["arrivals"]:
         if "bundle_path" in entry:
             bpath = Path(entry["bundle_path"])
             if not bpath.is_absolute():
                 bpath = base / bpath
-            predictor = NfPredictor.from_json(bpath.read_text())
+            if bpath not in parsed:
+                parsed[bpath] = NfPredictor.from_json(bpath.read_text())
+            predictor = parsed[bpath]
         else:
             predictor = NfPredictor.from_dict(entry["bundle"])
         out.append(NfInstance(

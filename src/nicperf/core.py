@@ -263,8 +263,11 @@ class ThroughputSample(Codec):
     observed_throughput: float
 
     def __post_init__(self) -> None:
-        if self.observed_throughput <= 0:
-            raise InvalidInputError("observed_throughput must be positive")
+        if not 0 < self.observed_throughput < math.inf:
+            raise InvalidInputError(
+                "observed_throughput must be finite and positive, "
+                f"got {self.observed_throughput}"
+            )
 
 
 def _check_vectors(predicted: Sequence[float], actual: Sequence[float]) -> None:

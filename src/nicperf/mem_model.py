@@ -8,6 +8,26 @@ since tree splits are scale-invariant.
 
 Implemented in-repo so that training is bit-deterministic and the model
 file round-trips exactly.
+
+In memory the ensemble exists only in compiled form: flat node arrays
+holding every tree back to back, the layout QuickScorer (Lucchese et al.,
+SIGIR 2015) walks.  Tree t starts at node ``roots[t]``; node i holds
+``feature[i]``, ``threshold[i]``, ``value[i]`` and the child pair
+``children[i] = (left, right)`` as node indices, and a leaf's children are
+the leaf itself.  A row steps to ``children[i, 0]`` when
+``x[feature[i]] <= threshold[i]`` and to ``children[i, 1]`` otherwise, so
+NaN goes right.  ``depth`` is the depth of the deepest tree: walking every
+tree at once for exactly that many steps leaves each row at its leaf in
+every tree, since a leaf reached early steps onto itself.
+
+A prediction is ``base + lr*v_1 + ... + lr*v_T`` for the leaf values v_t
+of trees 1..T, added left to right: the last element of a sequential
+``np.cumsum`` over ``[base, lr*v_1, ..., lr*v_T]``.  This is bit-identical
+to adding one tree's scaled output at a time to a running total, which is
+how the ensemble was fitted; ``np.sum`` adds pairwise and would not be.
+
+``_Tree`` (a list per field) is the form a tree is grown in and the wire
+form; ``to_dict`` rebuilds it from the arrays, so model bytes round-trip.
 """
 
 from __future__ import annotations
@@ -15,6 +35,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -70,11 +91,12 @@ class GbrHyperParams(Codec):
 
 
 @dataclass
-class _Tree(Codec):
-    """Flat-array binary regression tree.
+class _Tree:
+    """Wire and training form of one binary regression tree.
 
     Internal node i splits on feature[i] at threshold[i]; left/right hold
-    child indices.  A leaf has feature -1 and its prediction in value.
+    child indices.  A leaf has feature -1, left and right -1, and its
+    prediction in value.
     """
 
     feature: list[int] = field(default_factory=list)
@@ -96,20 +118,6 @@ class _Tree(Codec):
         self.right.append(hi)
         self.value.append(val)
         return len(self.feature) - 1
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        out = np.empty(len(x))
-        feature = self.feature
-        for row in range(len(x)):
-            i = 0
-            while feature[i] >= 0:
-                if x[row, feature[i]] <= self.threshold[i]:
-                    i = self.left[i]
-                else:
-                    i = self.right[i]
-            out[row] = self.value[i]
-        return out
 
 
 def _best_split(
@@ -156,35 +164,137 @@ def _best_split(
 
 
 def _fit_tree(
-    x: np.ndarray, residual: np.ndarray, max_depth: int, min_leaf: int
-) -> _Tree:
-    tree = _Tree()
+    x: np.ndarray, residual: np.ndarray, fit: np.ndarray, max_depth: int,
+    min_leaf: int,
+) -> tuple[_Tree, np.ndarray]:
+    """Grows one tree on the rows ``fit`` of x.
 
-    def grow(rows: np.ndarray, depth: int) -> int:
+    Also returns the value of the leaf every row of x reaches: rows are
+    routed down each split as a walk would (left when x <= threshold).
+    """
+    tree = _Tree()
+    reached = np.empty(len(x))
+
+    def leaf(res: np.ndarray, routed: np.ndarray) -> int:
+        val = float(res.mean())
+        reached[routed] = val
+        return tree.add_leaf(val)
+
+    def grow(rows: np.ndarray, routed: np.ndarray, depth: int) -> int:
         res = residual[rows]
         if depth >= max_depth or len(rows) < 2 * min_leaf:
-            return tree.add_leaf(float(res.mean()))
+            return leaf(res, routed)
         split = _best_split(x[rows], res, min_leaf)
         if split is None:
-            return tree.add_leaf(float(res.mean()))
+            return leaf(res, routed)
         f, thr, left_mask = split
         node = tree.add_split(f, thr)
-        tree.left[node] = grow(rows[left_mask], depth + 1)
-        tree.right[node] = grow(rows[~left_mask], depth + 1)
+        goes_left = x[routed, f] <= thr
+        tree.left[node] = grow(rows[left_mask], routed[goes_left], depth + 1)
+        tree.right[node] = grow(rows[~left_mask], routed[~goes_left], depth + 1)
         return node
 
-    grow(np.arange(len(x)), 0)
-    return tree
+    grow(fit, np.arange(len(x)), 0)
+    return tree, reached
 
 
-@dataclass
+_TREE_KEYS = ("feature", "threshold", "left", "right", "value")
+
+
+def _compile(trees: list, n_features: int) -> tuple:
+    """Flat node arrays of wire-form trees, vectorised over all of them.
+
+    Returns (feature, threshold, value, children, roots, depth).  Raises
+    InvalidInputError for a tree with no nodes, fields of unequal length,
+    a non-finite threshold or value, a split feature or child index out
+    of range, or a cycle.
+    """
+    try:
+        cols = [[t[k] for t in trees] for k in _TREE_KEYS]
+        lens = np.array([[len(a) for a in col] for col in cols], dtype=np.int64)
+        feature, threshold, left, right, value = (
+            np.array(list(chain.from_iterable(col)), dtype=dt)
+            for col, dt in zip(cols, (np.int64, float, np.int64, np.int64, float))
+        )
+    except KeyError as exc:
+        raise InvalidInputError(f"gbr tree: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"gbr tree: {exc}") from None
+    sizes = lens[0]
+    bad = np.flatnonzero((lens != sizes).any(axis=0) | (sizes == 0))
+    if bad.size:
+        raise InvalidInputError(
+            f"gbr tree {bad[0]}: fields must be non-empty and of equal length"
+        )
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        raise InvalidInputError("gbr tree thresholds and values must be finite")
+
+    n = len(feature)
+    roots = np.cumsum(sizes) - sizes
+    offset = np.repeat(roots, sizes)
+    size = np.repeat(sizes, sizes)
+    leaf = feature < 0
+    local = np.stack([left, right], axis=1)
+    bad = np.flatnonzero(~leaf & ((feature >= n_features)
+                                  | (local < 0).any(axis=1)
+                                  | (local >= size[:, None]).any(axis=1)))
+    if bad.size:
+        raise InvalidInputError(
+            f"gbr tree {_tree_of(roots, bad[0])}: node {bad[0] - offset[bad[0]]} "
+            "has a feature or child index out of range"
+        )
+    node = np.arange(n)
+    children = np.where(leaf[:, None], node[:, None], local + offset[:, None])
+
+    # Levels until every root-to-leaf path has ended; an acyclic tree of
+    # s nodes has none longer than s - 1 edges.
+    depth = 0
+    frontier = roots[~leaf[roots]]
+    while frontier.size:
+        if depth >= sizes.max():
+            raise InvalidInputError(
+                f"gbr tree {_tree_of(roots, frontier[0])}: its nodes form a cycle"
+            )
+        frontier = np.unique(children[frontier])
+        frontier = frontier[~leaf[frontier]]
+        depth += 1
+    return (np.where(leaf, -1, feature).astype(np.int16), threshold, value,
+            children.astype(np.int32), roots.astype(np.int32), depth)
+
+
+def _tree_of(roots: np.ndarray, node: int) -> int:
+    return int(np.searchsorted(roots, node, side="right")) - 1
+
+
 class GbrModel:
-    """Trained gradient-boosted regression ensemble (throughput in pps)."""
+    """Trained gradient-boosted regression ensemble (throughput in pps).
 
-    base_score: float
-    trees: list[_Tree]
-    hyper: GbrHyperParams
-    feature_names: tuple[str, ...] = FEATURE_NAMES
+    Holds the trees only in compiled form (see the module docstring);
+    ``trees`` are wire-form tree dicts, compiled on construction.
+    """
+
+    def __init__(self, base_score: float, trees: list, hyper: GbrHyperParams,
+                 feature_names: tuple[str, ...] = FEATURE_NAMES):
+        self.base_score = base_score
+        self.hyper = hyper
+        self.feature_names = feature_names
+        (self.feature, self.threshold, self.value, self.children, self.roots,
+         self.depth) = _compile(trees, len(feature_names))
+
+    def _leaves(self, x: np.ndarray) -> np.ndarray:
+        """Leaf index each row of ``x`` reaches in each tree: (rows, trees)."""
+        child = self.children.ravel()
+        if len(x) == 1:
+            row = x[0]
+            idx = self.roots
+            for _ in range(self.depth):
+                idx = child[2 * idx + ~(row[self.feature[idx]] <= self.threshold[idx])]
+            return idx[None, :]
+        rows = np.arange(len(x))[:, None]
+        idx = np.broadcast_to(self.roots, (len(x), len(self.roots)))
+        for _ in range(self.depth):
+            idx = child[2 * idx + ~(x[rows, self.feature[idx]] <= self.threshold[idx])]
+        return idx
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -192,20 +302,29 @@ class GbrModel:
             raise InvalidInputError(
                 f"expected {len(self.feature_names)} features, got {x.shape[1]}"
             )
-        out = np.full(len(x), self.base_score)
-        lr = self.hyper.learning_rate
-        for tree in self.trees:
-            out += lr * tree.predict(x)
-        return np.maximum(out, 0.0)
+        terms = np.empty((len(x), len(self.roots) + 1))
+        terms[:, 0] = self.base_score
+        np.multiply(self.hyper.learning_rate, self.value[self._leaves(x)],
+                    out=terms[:, 1:])
+        return np.maximum(np.cumsum(terms, axis=1)[:, -1], 0.0)
 
     def to_dict(self) -> dict:
+        n = len(self.feature)
+        leaf = self.children[:, 0] == np.arange(n)
+        offset = np.repeat(self.roots, np.diff(self.roots, append=n))[:, None]
+        local = np.where(leaf[:, None], -1, self.children - offset)
+        cols = dict(zip(_TREE_KEYS, (
+            np.where(leaf, -1, self.feature).tolist(), self.threshold.tolist(),
+            local[:, 0].tolist(), local[:, 1].tolist(), self.value.tolist())))
+        ends = [*self.roots.tolist(), n]
         return {
             "schema": "gbr-model",
             "schema_version": SCHEMA_VERSION,
             "feature_order": list(self.feature_names),
             "base_score": self.base_score,
             "hyper": self.hyper.to_dict(),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [{k: col[a:b] for k, col in cols.items()}
+                      for a, b in zip(ends, ends[1:])],
         }
 
     @classmethod
@@ -214,7 +333,7 @@ class GbrModel:
             raise InvalidInputError("not a gbr-model file")
         return cls(
             base_score=float(doc["base_score"]),
-            trees=[_Tree.from_dict(t) for t in doc["trees"]],
+            trees=doc["trees"],
             hyper=GbrHyperParams.from_dict(doc["hyper"]),
             feature_names=tuple(doc["feature_order"]),
         )
@@ -250,20 +369,19 @@ def train(
 
     rng = np.random.default_rng(hyper.seed)
     current = np.full(len(y), base)
-    trees: list[_Tree] = []
+    trees: list[dict] = []
     for _ in range(hyper.n_trees):
         residual = y - current
+        fit = np.arange(len(y))
         if hyper.subsample < 1.0:
             rows = rng.random(len(y)) < hyper.subsample
-            if rows.sum() < 2 * hyper.min_samples_leaf:
-                rows = np.ones(len(y), dtype=bool)
-            tree = _fit_tree(
-                x[rows], residual[rows], hyper.max_depth, hyper.min_samples_leaf
-            )
-        else:
-            tree = _fit_tree(x, residual, hyper.max_depth, hyper.min_samples_leaf)
-        current = current + hyper.learning_rate * tree.predict(x)
-        trees.append(tree)
+            if rows.sum() >= 2 * hyper.min_samples_leaf:
+                fit = np.flatnonzero(rows)
+        tree, reached = _fit_tree(
+            x, residual, fit, hyper.max_depth, hyper.min_samples_leaf
+        )
+        current = current + hyper.learning_rate * reached
+        trees.append(vars(tree))
     return GbrModel(base_score=base, trees=trees, hyper=hyper)
 
 

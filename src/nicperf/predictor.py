@@ -89,7 +89,8 @@ class ContentionDescriptor:
     counters aggregates (sums) the competitors' memory-side counters.
     accel maps each accelerator kind to the competitors using it, as
     (params, traffic attribute value, offered rate) triples; offered
-    rate may be infinite for an always-backlogged competitor.
+    rate may be infinite for an always-backlogged competitor, but not
+    NaN or negative, and the attribute value must be finite.
     """
 
     counters: CounterSnapshot = ZERO_COUNTERS
@@ -102,6 +103,15 @@ class ContentionDescriptor:
             norm[kind] = tuple(
                 (p, float(attr), float(rate)) for p, attr, rate in comps
             )
+            for _, attr, rate in norm[kind]:
+                if not math.isfinite(attr):
+                    raise InvalidInputError(
+                        f"{kind.value} attribute value must be finite, got {attr}"
+                    )
+                if not rate >= 0:
+                    raise InvalidInputError(
+                        f"{kind.value} offered rate must be non-negative, got {rate}"
+                    )
         object.__setattr__(self, "accel", norm)
 
     def to_dict(self) -> dict:
@@ -160,7 +170,7 @@ class _SoloTable:
     def __init__(self, base_rate: float, axes: dict[str, tuple[list, list]],
                  bounds: dict[str, tuple[float, float]]):
         self.base_rate = float(base_rate)
-        self.axes = {k: (list(map(float, xs)), list(map(float, ys)))
+        self.axes = {k: (np.array(xs, dtype=float), np.array(ys, dtype=float))
                      for k, (xs, ys) in axes.items()}
         self.bounds = {k: (float(lo), float(hi)) for k, (lo, hi) in bounds.items()}
 
@@ -182,7 +192,8 @@ class _SoloTable:
     def to_dict(self) -> dict:
         return {
             "base_rate": self.base_rate,
-            "axes": {k: {"x": xs, "y": ys} for k, (xs, ys) in self.axes.items()},
+            "axes": {k: {"x": xs.tolist(), "y": ys.tolist()}
+                     for k, (xs, ys) in self.axes.items()},
             "bounds": {k: list(v) for k, v in self.bounds.items()},
         }
 
@@ -211,16 +222,18 @@ class _Footprint:
         self.car_per_pkt = float(car_per_pkt)
         self.irt_per_pkt = float(irt_per_pkt)
         self.mem_frac = float(mem_frac)
-        self.wss_axis = (list(map(float, wss_axis[0])), list(map(float, wss_axis[1])))
+        self.wss_axis = (np.array(wss_axis[0], dtype=float),
+                         np.array(wss_axis[1], dtype=float))
         self.miss_curve = None if miss_curve is None else (
-            list(map(float, miss_curve[0])), list(map(float, miss_curve[1])))
+            np.array(miss_curve[0], dtype=float), np.array(miss_curve[1], dtype=float))
 
     def wss(self, traffic: TrafficProfile) -> float:
         xs, ys = self.wss_axis
         return float(np.interp(traffic.flow_count, xs, ys))
 
-    def counters(self, traffic: TrafficProfile, throughput: float,
+    def counters(self, wss: float, throughput: float,
                  total_wss: float | None = None) -> CounterSnapshot:
+        """Counters at ``throughput`` with own working set ``wss``."""
         car = self.car_per_pkt * throughput
         irt = self.irt_per_pkt * throughput
         if total_wss is not None and self.miss_curve is not None:
@@ -235,7 +248,7 @@ class _Footprint:
             l2cwr=car * 0.4,
             memrd=mem * 0.7,
             memwr=mem * 0.3,
-            wss=self.wss(traffic),
+            wss=wss,
         )
 
     def to_dict(self) -> dict:
@@ -243,9 +256,9 @@ class _Footprint:
             "car_per_pkt": self.car_per_pkt,
             "irt_per_pkt": self.irt_per_pkt,
             "mem_frac": self.mem_frac,
-            "wss_axis": {"x": self.wss_axis[0], "y": self.wss_axis[1]},
+            "wss_axis": {"x": self.wss_axis[0].tolist(), "y": self.wss_axis[1].tolist()},
             "miss_curve": None if self.miss_curve is None
-            else {"x": self.miss_curve[0], "y": self.miss_curve[1]},
+            else {"x": self.miss_curve[0].tolist(), "y": self.miss_curve[1].tolist()},
         }
 
     @classmethod
@@ -279,13 +292,18 @@ class NfPredictor:
     def resources(self) -> tuple[ResourceKind, ...]:
         return tuple(sorted(self.resource_models, key=lambda k: k.value))
 
-    def t_solo(self, traffic: TrafficProfile) -> float:
-        """Predicted uncontended end-to-end throughput."""
+    def _solo_rates(self, traffic: TrafficProfile) -> list[float]:
+        """Uncontended memory-path rate, then each accelerator's solo rate
+        in ``accel_models`` order."""
         self.solo_table.check_bounds(traffic)
         rates = [self.solo_table.rate(traffic)]
         for kind, params in self.accel_models.items():
             rates.append(params.solo_rate(traffic.attribute(ACCEL_ATTRIBUTE[kind])))
-        return compose_rates(self.pattern, rates)
+        return rates
+
+    def t_solo(self, traffic: TrafficProfile) -> float:
+        """Predicted uncontended end-to-end throughput."""
+        return compose_rates(self.pattern, self._solo_rates(traffic))
 
     # -- prediction ----------------------------------------------------------
 
@@ -294,6 +312,10 @@ class NfPredictor:
     ) -> dict:
         """Predicted per-resource contended rates at the given point."""
         self.solo_table.check_bounds(traffic)
+        return self._stage_rates(traffic, contention, self.solo_table.rate(traffic))
+
+    def _stage_rates(self, traffic: TrafficProfile,
+                     contention: ContentionDescriptor, mem_solo: float) -> dict:
         rates: dict[ResourceKind, float] = {}
         if self.mem_model is not None:
             # The wss feature is the combined working set: competitors'
@@ -304,9 +326,7 @@ class NfPredictor:
             )
             feats = mem_model.feature_vector(counters, traffic)
             rates[ResourceKind.MEMORY] = max(
-                1e-9,
-                min(mem_model.predict(self.mem_model, feats),
-                    self.solo_table.rate(traffic)),
+                1e-9, min(mem_model.predict(self.mem_model, feats), mem_solo),
             )
         for kind, params in self.accel_models.items():
             if kind not in contention.accel:
@@ -322,15 +342,19 @@ class NfPredictor:
     def predict(
         self, traffic: TrafficProfile, contention: ContentionDescriptor
     ) -> PredictionResult:
-        t_solo = self.t_solo(traffic)
-        rates = self.stage_rates(traffic, contention)
+        solo = self._solo_rates(traffic)
+        t_solo = compose_rates(self.pattern, solo)
+        rates = self._stage_rates(traffic, contention, solo[0])
 
         # Per-resource drop: solo end-to-end minus the end-to-end rate with
-        # only that resource contended.
+        # only that resource contended (the others at their solo rates).
+        solo_by_kind = list(zip(self.accel_models, solo[1:]))
+        if self.mem_model is not None:
+            solo_by_kind.insert(0, (ResourceKind.MEMORY, solo[0]))
         drops: dict[ResourceKind, float] = {}
         saturated = False
         for kind, r_cont in rates.items():
-            alone = list(rates_with(self, traffic, kind, r_cont))
+            alone = [r_cont if k is kind else r for k, r in solo_by_kind]
             t_alone = compose_rates(self.pattern, alone)
             drop = max(0.0, t_solo - t_alone)
             if drop >= t_solo:
@@ -397,18 +421,6 @@ class NfPredictor:
     @classmethod
     def from_json(cls, text: str) -> "NfPredictor":
         return cls.from_dict(json.loads(text))
-
-
-def rates_with(p: NfPredictor, traffic: TrafficProfile,
-               contended: ResourceKind, rate: float):
-    """Per-resource rates with only one resource contended (rest solo)."""
-    if p.mem_model is not None:
-        yield rate if contended is ResourceKind.MEMORY else p.solo_table.rate(traffic)
-    for kind, params in p.accel_models.items():
-        if kind is contended:
-            yield rate
-        else:
-            yield params.solo_rate(traffic.attribute(ACCEL_ATTRIBUTE[kind]))
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ closed form evaluated with a single NF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -86,8 +86,10 @@ class NfStage(Codec):
     traffic_coeffs: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.base_time <= 0:
-            raise InvalidInputError(f"base_time must be positive, got {self.base_time}")
+        if not 0 < self.base_time < math.inf:
+            raise InvalidInputError(
+                f"base_time must be finite and positive, got {self.base_time}"
+            )
         object.__setattr__(self, "traffic_coeffs", dict(self.traffic_coeffs))
 
     def unit_time(self, traffic: TrafficProfile) -> float:
@@ -177,6 +179,26 @@ class MemParams(Codec):
     car_floor_frac: float = 0.60
     miss_base: float = 0.04
     miss_sat: float = 0.45
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise InvalidInputError(
+                    f"MemParams.{f.name} must be finite, got {getattr(self, f.name)}"
+                )
+        if not self.wss_ramp_bytes > 0:
+            raise InvalidInputError(
+                f"wss_ramp_bytes must be positive, got {self.wss_ramp_bytes}"
+            )
+        if not self.car_sat > self.car_knee:
+            raise InvalidInputError(
+                f"car_sat ({self.car_sat}) must exceed car_knee ({self.car_knee})"
+            )
+        for name in ("wss_floor_frac", "car_floor_frac", "miss_base", "miss_sat"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InvalidInputError(
+                    f"{name} must be in [0, 1], got {getattr(self, name)}"
+                )
 
 
 def _wss_ramp_frac(total_wss: float, llc_bytes: float, params: MemParams) -> float:

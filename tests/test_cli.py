@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nicperf.cli import main
+from nicperf.cli import _load_arrivals, main
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "example.json"
 
@@ -116,6 +116,11 @@ def test_evaluate_writes_summary_rows(flowmonitor_bundle, tmp_path):
     assert {"summary_mape", "summary_acc5", "summary_acc10"} <= set(kinds)
     summary = {r[0]: float(r[-1]) for r in rows if r[0].startswith("summary_")}
     assert summary["summary_mape"] < 15.0
+    # Worker processes parse the bundle once each and give the same table.
+    out2 = tmp_path / "eval2.csv"
+    assert main(["evaluate", "--bundle", str(flowmonitor_bundle), "--jobs", "2",
+                 "--testgrid", str(grid), "--out", str(out2)]) == 0
+    assert out2.read_bytes() == out.read_bytes()
 
 
 def test_schedule_and_eval(flowmonitor_bundle, tmp_path):
@@ -127,6 +132,9 @@ def test_schedule_and_eval(flowmonitor_bundle, tmp_path):
          "max_drop_ratio": 0.5}
         for i in range(3)
     ]}))
+    # Arrivals naming the same bundle file share one parsed predictor.
+    loaded = _load_arrivals(str(arrivals))
+    assert all(a.predictor is loaded[0].predictor for a in loaded)
     fleet_out = tmp_path / "fleet.json"
     assert main(["schedule", "--arrivals", str(arrivals),
                  "--strategy", "contention-aware", "--out", str(fleet_out)]) == 0

@@ -135,5 +135,6 @@ def test_throughput_sample_roundtrip_and_validation():
     del doc["observed_throughput"]
     with pytest.raises(InvalidInputError, match="observed_throughput"):
         ThroughputSample.from_dict(doc)
-    with pytest.raises(InvalidInputError):
-        ThroughputSample("s", "nat", TrafficProfile(), ZERO_COUNTERS, 0.0)
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError):
+            ThroughputSample("s", "nat", TrafficProfile(), ZERO_COUNTERS, bad)

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicperf.core import (
     CounterSnapshot,
@@ -87,7 +91,7 @@ def test_constant_target_warns_and_predicts_constant():
             for i in range(40)]
     with pytest.warns(DegenerateDataWarning):
         model = train(rows)
-    assert model.trees == []
+    assert model.to_dict()["trees"] == []
     x = feature_vector(CounterSnapshot(wss=9e9), TrafficProfile())
     assert predict(model, x) == pytest.approx(5e5)
 
@@ -118,3 +122,140 @@ def test_hyper_roundtrip():
     h = GbrHyperParams(n_trees=17, max_depth=3, learning_rate=0.2,
                        subsample=0.7, min_samples_leaf=4, seed=11)
     assert GbrHyperParams.from_dict(h.to_dict()) == h
+
+
+# -- compiled ensemble against the per-tree list walk ---------------------------
+
+def _reference_tree(tree: dict, x: np.ndarray) -> np.ndarray:
+    """One wire-form tree, walked row by row over its lists."""
+    out = np.empty(len(x))
+    feature = tree["feature"]
+    for row in range(len(x)):
+        i = 0
+        while feature[i] >= 0:
+            if x[row, feature[i]] <= tree["threshold"][i]:
+                i = tree["left"][i]
+            else:
+                i = tree["right"][i]
+        out[row] = tree["value"][i]
+    return out
+
+
+def _reference_predict(doc: dict, x) -> np.ndarray:
+    """The ensemble as a running total, one tree at a time, clamped at 0."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.full(len(x), doc["base_score"])
+    lr = doc["hyper"]["learning_rate"]
+    for tree in doc["trees"]:
+        out += lr * _reference_tree(tree, x)
+    return np.maximum(out, 0.0)
+
+
+_THRESHOLDS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def _wire_tree(draw, max_depth=5):
+    """A random tree in wire form, its leaves at mixed depths."""
+    tree = {k: [] for k in ("feature", "threshold", "left", "right", "value")}
+
+    def add(feat, thr, val):
+        for k, v in zip(tree, (feat, thr, -1, -1, val)):
+            tree[k].append(v)
+        return len(tree["feature"]) - 1
+
+    def grow(depth):
+        if depth >= max_depth or not draw(st.booleans()):
+            return add(-1, 0.0, draw(st.floats(-1e5, 1e5, allow_nan=False)))
+        node = add(draw(st.integers(0, len(FEATURE_NAMES) - 1)), draw(_THRESHOLDS), 0.0)
+        tree["left"][node] = grow(depth + 1)
+        tree["right"][node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    return tree
+
+
+@st.composite
+def _model_and_rows(draw):
+    doc = GbrModel(0.0, [], GbrHyperParams()).to_dict()
+    doc["base_score"] = draw(st.floats(-1e5, 1e5, allow_nan=False))
+    doc["hyper"]["learning_rate"] = draw(st.floats(0.01, 1.0))
+    doc["trees"] = draw(st.lists(_wire_tree(), max_size=12))
+    thresholds = [t for tree in doc["trees"] for t, f in zip(tree["threshold"], tree["feature"])
+                  if f >= 0]
+    value = st.one_of(st.floats(), st.sampled_from([np.nan, np.inf, -np.inf]),
+                      *([st.sampled_from(thresholds)] if thresholds else []))
+    rows = draw(st.lists(st.lists(value, min_size=len(FEATURE_NAMES),
+                                  max_size=len(FEATURE_NAMES)),
+                         min_size=1, max_size=8))
+    return doc, np.array(rows, dtype=float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_model_and_rows())
+def test_compiled_walk_matches_reference_bit_for_bit(case):
+    doc, x = case
+    model = GbrModel.from_dict(doc)
+    want = _reference_predict(doc, x)
+    assert model.predict_matrix(x).tobytes() == want.tobytes()
+    for row, w in zip(x, want):
+        assert model.predict_matrix(row).tobytes() == w.tobytes()
+        assert np.float64(predict(model, row)).tobytes() == w.tobytes()
+
+
+def test_trained_model_matches_reference():
+    model = train(_synthetic_rows(n=80), GbrHyperParams(n_trees=30, subsample=0.8, seed=3))
+    doc = model.to_dict()
+    x = np.array([feature_vector(r.competitor_counters, r.traffic)
+                  for r in _synthetic_rows(n=25, seed=7)])
+    assert model.predict_matrix(x).tobytes() == _reference_predict(doc, x).tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    train(_synthetic_rows(n=60), GbrHyperParams(n_trees=25)),
+    GbrModel(5e5, [], GbrHyperParams()),
+], ids=["trained", "constant"])
+def test_dict_roundtrip_byte_identical(model):
+    text = json.dumps(model.to_dict(), sort_keys=True)
+    again = GbrModel.from_dict(json.loads(text))
+    assert json.dumps(again.to_dict(), sort_keys=True) == text
+
+
+def _one_tree_doc(**fields):
+    tree = {"feature": [0, -1, -1], "threshold": [1.0, 0.0, 0.0],
+            "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 1.0, 2.0]}
+    tree.update(fields)
+    doc = GbrModel(0.0, [], GbrHyperParams()).to_dict()
+    doc["trees"] = [tree]
+    return doc
+
+
+def test_one_tree_doc_is_valid():
+    model = GbrModel.from_dict(_one_tree_doc())
+    assert model.predict_matrix(np.array([[0.5] + [0.0] * 9, [np.nan] * 10])).tolist() \
+        == [0.1, pytest.approx(0.2)]
+
+
+@pytest.mark.parametrize("fields", [
+    {"left": [3, -1, -1]},                       # child past the tree's end
+    {"feature": [0, 0, -1], "left": [1, -2, -1]},  # negative child index
+    {"feature": [10, -1, -1]},                   # no such feature
+    {"left": [0, -1, -1]},                       # node is its own child
+    {"feature": [0, 0, -1], "left": [1, 0, -1], "right": [2, 2, -1]},  # cycle
+    {"value": [0.0, 1.0]},                       # fields of unequal length
+    {k: [] for k in ("feature", "threshold", "left", "right", "value")},
+    {"threshold": [None, 0.0, 0.0]},
+    {"value": [0.0, float("nan"), 2.0]},
+    {"feature": ["x", -1, -1]},
+])
+def test_malformed_tree_rejected(fields):
+    with pytest.raises(InvalidInputError):
+        GbrModel.from_dict(_one_tree_doc(**fields))
+
+
+def test_tree_missing_key_rejected():
+    doc = _one_tree_doc()
+    del doc["trees"][0]["right"]
+    with pytest.raises(InvalidInputError):
+        GbrModel.from_dict(doc)

@@ -112,6 +112,14 @@ def test_descriptor_roundtrip_with_saturating_rate():
     assert math.isinf(again.accel[ResourceKind.REGEX_ACCEL][0][2])
 
 
+@pytest.mark.parametrize("attr,rate", [
+    (600.0, math.nan), (600.0, -1.0), (math.nan, 5e4), (math.inf, 5e4),
+])
+def test_descriptor_rejects_nan_and_negative(attr, rate):
+    with pytest.raises(InvalidInputError):
+        ContentionDescriptor(accel={ResourceKind.REGEX_ACCEL: ((REGEX_BENCH, attr, rate),)})
+
+
 def test_memory_only_bundle_has_no_accel_models(bundle_cache):
     p = bundle_cache("iptunnel", 200)
     assert p.accel_models == {}

@@ -230,3 +230,24 @@ def test_nf_spec_validation():
             stages=(NfStage(ResourceKind.MEMORY, 1e-6),
                     NfStage(ResourceKind.MEMORY, 2e-6)),
         )
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError):
+            NfStage(ResourceKind.MEMORY, bad)
+
+
+@pytest.mark.parametrize("field,bad", [
+    *((f, v) for f in ("wss_ramp_bytes", "wss_floor_frac", "car_knee", "car_sat",
+                       "car_floor_frac", "miss_base", "miss_sat")
+      for v in (math.nan, math.inf, -math.inf)),
+    ("wss_ramp_bytes", 0.0),
+    ("car_sat", 100e6),
+    ("wss_floor_frac", 1.5),
+    ("car_floor_frac", -0.1),
+    ("miss_base", 2.0),
+    ("miss_sat", -1.0),
+])
+def test_mem_params_validation(field, bad):
+    with pytest.raises(InvalidInputError, match=field):
+        MemParams(**{field: bad})
+    with pytest.raises(InvalidInputError):
+        MemParams.from_dict({field: str(bad)})
