@@ -9,16 +9,22 @@ Usage: python3 demos/train_and_predict.py [--nf flowmonitor] [--points 40]
 """
 
 import argparse
-import math
 import time
 
 import numpy as np
 
 from nicperf.accel_model import AccelModelParams
 from nicperf.catalog import ATTRIBUTE_RANGES, SimulatorRunner, get_nf
-from nicperf.core import ResourceKind, TrafficProfile, band_accuracy, mape
-from nicperf.predictor import ContentionDescriptor, build
+from nicperf.core import (
+    DEFAULT_TRAFFIC,
+    ResourceKind,
+    TrafficProfile,
+    band_accuracy,
+    mape,
+)
+from nicperf.predictor import ACCEL_ATTRIBUTE, ContentionDescriptor, build
 from nicperf.profiler import ProfilingConfig
+from nicperf.simulator import make_benchmark_nf
 
 
 def main():
@@ -44,8 +50,6 @@ def main():
               f"t0={params.t0 * 1e6:.2f}us a={params.a:.3g}")
 
     rng = np.random.default_rng(args.seed + 1)
-    bench = AccelModelParams(queue_count=1, t0=10e-6, a=0.0,
-                             resource=ResourceKind.REGEX_ACCEL)
     preds, actuals = [], []
     for i in range(args.points):
         traffic = TrafficProfile(
@@ -60,8 +64,14 @@ def main():
         for kind in bundle.accel_models:
             if kind is ResourceKind.REGEX_ACCEL and v > 0:
                 levels[kind] = v
-                rate = math.inf if v >= 1.0 else v / 10e-6
-                accel[kind] = ((bench, 600.0, rate),)
+                # The same benchmark NF the runner co-runs at this level.
+                bench = make_benchmark_nf(kind, v)
+                (stage,) = bench.stages
+                params = AccelModelParams(
+                    queue_count=bench.queue_count, t0=stage.base_time,
+                    a=sum(stage.traffic_coeffs.values()), resource=kind)
+                attr = DEFAULT_TRAFFIC.attribute(ACCEL_ATTRIBUTE[kind])
+                accel[kind] = ((params, attr, bench.offered_rate),)
             else:
                 accel[kind] = ()
         sample = runner.sample(f"demo-{i}", traffic, levels)

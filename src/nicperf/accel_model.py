@@ -15,8 +15,9 @@ parameters are known.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,10 +55,10 @@ class AccelModelParams(Codec):
     def __post_init__(self) -> None:
         if self.queue_count < 1:
             raise InvalidInputError("queue_count must be >= 1")
-        if self.t0 <= 0:
-            raise InvalidInputError("t0 must be positive")
-        if self.a < 0:
-            raise InvalidInputError("a must be non-negative")
+        if not 0 < self.t0 < math.inf:
+            raise InvalidInputError(f"t0 must be finite and positive, got {self.t0}")
+        if not 0 <= self.a < math.inf:
+            raise InvalidInputError(f"a must be finite and non-negative, got {self.a}")
 
     def request_time(self, attr_value: float) -> float:
         return self.t0 + self.a * attr_value

@@ -5,7 +5,9 @@ SmartNICs with four NF slots each (8 cores, 2 per NF).  The
 contention-aware strategy only uses prediction bundles, never the
 oracle; the oracle comes back in evaluate_placement to score the
 resulting fleet, and in the branch-and-bound search for the smallest
-feasible fleet that placement quality is measured against.
+feasible fleet that placement quality is measured against.  The oracle
+simulates every group with the ContentionScenario defaults, as the
+profiling runner does.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import warnings
 from .catalog import get_nf
 from .core import (
     Codec,
-    ExecutionPattern,
     InvalidInputError,
     ResourceKind,
     TrafficProfile,
@@ -30,7 +31,7 @@ from .predictor import (
     NfPredictor,
     PredictionResult,
 )
-from .simulator import ContentionScenario, MemParams, run_scenario
+from .simulator import ContentionScenario, run_scenario
 
 __all__ = [
     "NF_SLOTS",
@@ -43,10 +44,10 @@ __all__ = [
     "predict_group",
     "place",
     "place_sequence",
-    "OracleConfig",
     "PlacementReport",
     "evaluate_placement",
     "optimal_nic_count",
+    "OPTIMUM_MAX_INSTANCES",
     "nic_lower_bound",
     "diagnose",
 ]
@@ -57,6 +58,9 @@ NF_SLOTS = 4
 _GROUP_DAMPING = 0.5
 _GROUP_TOL = 1e-3
 _GROUP_MAX_ITER = 50
+
+#: Largest instance set optimal_nic_count searches exhaustively.
+OPTIMUM_MAX_INSTANCES = 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,19 +286,10 @@ def place_sequence(
 # Oracle evaluation
 # --------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class OracleConfig:
-    seed: int = 0
-    llc_bytes: float = 6 * 2**20
-    mem_params: MemParams = dataclasses.field(default_factory=MemParams)
-    sim_cycles: int = 2500
-
-
 class _Oracle:
     """Memoized ground-truth throughputs for instance groups."""
 
-    def __init__(self, config: OracleConfig):
-        self.config = config
+    def __init__(self):
         self._group_memo: dict = {}
         self._solo_memo: dict = {}
 
@@ -313,10 +308,6 @@ class _Oracle:
                  i.traffic)
                 for name, i in named
             ),
-            seed=self.config.seed,
-            llc_bytes=self.config.llc_bytes,
-            mem_params=self.config.mem_params,
-            sim_cycles=self.config.sim_cycles,
         ))
         return dict(result.per_nf_throughput)
 
@@ -371,11 +362,9 @@ class PlacementReport(Codec):
         return {**super().to_dict(), "violation_pct": self.violation_pct}
 
 
-def evaluate_placement(
-    fleet: Fleet, oracle_config: OracleConfig = OracleConfig()
-) -> PlacementReport:
+def evaluate_placement(fleet: Fleet) -> PlacementReport:
     """Score a fully placed fleet against the ground-truth simulator."""
-    oracle = _Oracle(oracle_config)
+    oracle = _Oracle()
     violating: list[str] = []
     for nic in fleet.nics:
         violating.extend(oracle.violations(nic.residents))
@@ -391,25 +380,21 @@ def nic_lower_bound(nf_count: int) -> int:
     return math.ceil(nf_count / NF_SLOTS)
 
 
-def optimal_nic_count(
-    instances: list[NfInstance],
-    oracle_config: OracleConfig = OracleConfig(),
-    max_instances: int = 12,
-) -> int:
+def optimal_nic_count(instances: list[NfInstance]) -> int:
     """Smallest violation-free fleet size, by branch and bound.
 
     Feasibility of a candidate NIC load is checked with the ground-truth
     simulator and memoized per instance subset.  Exponential in the
-    instance count; capped at ``max_instances``.
+    instance count; capped at ``OPTIMUM_MAX_INSTANCES``.
     """
-    if len(instances) > max_instances:
+    if len(instances) > OPTIMUM_MAX_INSTANCES:
         raise InvalidInputError(
-            f"exhaustive search is capped at {max_instances} instances; "
+            f"exhaustive search is capped at {OPTIMUM_MAX_INSTANCES} instances; "
             f"got {len(instances)} (use nic_lower_bound instead)"
         )
     if not instances:
         return 0
-    oracle = _Oracle(oracle_config)
+    oracle = _Oracle()
     feas_memo: dict[frozenset, bool] = {}
 
     def feasible(idx: frozenset) -> bool:
@@ -473,5 +458,5 @@ def diagnose(
             TrivialDiagnosisNotice,
         )
         return resources[0]
-    rates = p.stage_rates(traffic, contention)
+    rates = p.predict(traffic, contention).stage_rates
     return min(rates, key=lambda k: (rates[k], k.value))

@@ -7,9 +7,11 @@ three multi-resource NFs that also exercise the accelerators.
 SimulatorRunner is the bridge between opaque-handle callbacks (profiler,
 parameter inference, pattern detection) and the simulator: it co-runs a
 target NF with benchmark NFs at requested contention levels and memoizes
-every configuration.  Accelerator-stage throughput is treated as
-observable during offline profiling (the devices expose request
-counters), and inference co-runs drive the target at saturating load.
+every configuration.  Every co-run uses the ContentionScenario defaults
+for the LLC size, memory parameters, counter noise (none) and RR
+horizon.  Accelerator-stage throughput is treated as observable during
+offline profiling (the devices expose request counters), and inference
+co-runs drive the target at saturating load.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .core import (
 )
 from .simulator import (
     ContentionScenario,
-    MemParams,
     NfSpec,
     NfStage,
     SimulationResult,
@@ -150,25 +151,13 @@ class SimulatorRunner:
     Contention is expressed as a mapping ResourceKind -> level in [0, 1];
     each non-zero level adds the matching benchmark NF to the scenario.
     Results are memoized per configuration, and ``runs`` counts actual
-    simulator invocations.
+    simulator invocations.  Scenarios take the ContentionScenario
+    defaults; ``seed`` only seeds counter noise, which they switch off.
     """
 
-    def __init__(
-        self,
-        spec: NfSpec,
-        *,
-        seed: int = 0,
-        llc_bytes: float = 6 * 2**20,
-        mem_params: MemParams | None = None,
-        noise_sigma: float = 0.0,
-        sim_cycles: int = 2500,
-    ):
+    def __init__(self, spec: NfSpec, *, seed: int = 0):
         self.spec = spec
         self.seed = seed
-        self.llc_bytes = llc_bytes
-        self.mem_params = mem_params or MemParams()
-        self.noise_sigma = noise_sigma
-        self.sim_cycles = sim_cycles
         self.runs = 0
         self._memo: dict = {}
 
@@ -195,14 +184,7 @@ class SimulatorRunner:
             nfs.append((bench, DEFAULT_TRAFFIC))
         if extra is not None:
             nfs.append((extra, DEFAULT_TRAFFIC))
-        scenario = ContentionScenario(
-            nfs=tuple(nfs),
-            seed=self.seed,
-            llc_bytes=self.llc_bytes,
-            mem_params=self.mem_params,
-            noise_sigma=self.noise_sigma,
-            sim_cycles=self.sim_cycles,
-        )
+        scenario = ContentionScenario(nfs=tuple(nfs), seed=self.seed)
         result = run_scenario(scenario)
         self.runs += 1
         self._memo[key] = (scenario, result)

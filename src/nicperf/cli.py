@@ -16,7 +16,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -24,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .accel_model import AccelModelParams, InferenceError
 from .apps import (
+    OPTIMUM_MAX_INSTANCES,
     Fleet,
     NfInstance,
     PlacementStrategy,
@@ -60,13 +60,14 @@ from .profiler import (
     random_profile,
     save_dataset,
 )
-from .simulator import ContentionScenario, ConvergenceError, run_scenario
+from .simulator import (
+    ContentionScenario,
+    ConvergenceError,
+    make_benchmark_nf,
+    run_scenario,
+)
 
 REPORT_SCHEMA_VERSION = 1
-
-#: The known per-request time of the accelerator benchmark NFs, used to
-#: translate a contention level into an offered rate.
-_BENCH_T0 = 10e-6
 
 _ERROR_TYPES = {
     ExtrapolationError: "out-of-domain",
@@ -144,10 +145,13 @@ def _bench_descriptor(bundle: NfPredictor, levels_doc: dict, counters) -> Conten
         if lvl <= 0:
             accel[kind] = ()
             continue
-        params = AccelModelParams(queue_count=1, t0=_BENCH_T0, a=0.0, resource=kind)
-        rate = math.inf if lvl >= 1.0 else lvl / _BENCH_T0
+        bench = make_benchmark_nf(kind, lvl)
+        (stage,) = bench.stages
+        params = AccelModelParams(
+            queue_count=bench.queue_count, t0=stage.base_time,
+            a=sum(stage.traffic_coeffs.values()), resource=kind)
         attr = DEFAULT_TRAFFIC.attribute(ACCEL_ATTRIBUTE[kind])
-        accel[kind] = ((params, attr, rate),)
+        accel[kind] = ((params, attr, bench.offered_rate),)
     return ContentionDescriptor(counters=counters, accel=accel)
 
 
@@ -337,7 +341,7 @@ def cmd_schedule_eval(args) -> int:
     report = evaluate_placement(fleet)
     out_doc = {"schema": "placement-report", **report.to_dict()}
     n = report.nf_count
-    if args.optimum and n <= 12:
+    if args.optimum and n <= OPTIMUM_MAX_INSTANCES:
         opt = optimal_nic_count(fleet.instances)
         out_doc["optimum_nic_count"] = opt
         out_doc["wastage_pct"] = report.wastage_pct(opt)
@@ -487,7 +491,8 @@ def _build_parser() -> _Parser:
             help="score a placed fleet against the simulator")
     p.add_argument("--fleet", required=True)
     p.add_argument("--optimum", action="store_true",
-                   help="also compute the exhaustive optimum (<= 12 NFs)")
+                   help="also compute the exhaustive optimum "
+                        f"(<= {OPTIMUM_MAX_INSTANCES} NFs)")
     p.add_argument("--out")
 
     p = add("diagnose", cmd_diagnose, help="bottleneck sweep table")

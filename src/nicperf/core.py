@@ -195,9 +195,6 @@ class TrafficProfile(Codec):
 #: The default traffic profile: 16K flows, 1500B packets, 600 matches/MB.
 DEFAULT_TRAFFIC = TrafficProfile()
 
-#: Attribute names in canonical order (also the feature-vector tail order).
-TRAFFIC_ATTRIBUTES = ("flow_count", "packet_size", "mtbr")
-
 
 @dataclass(frozen=True)
 class CounterSnapshot(Codec):

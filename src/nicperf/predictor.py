@@ -38,7 +38,6 @@ from .core import (
     ExecutionPattern,
     InvalidInputError,
     ResourceKind,
-    ThroughputSample,
     TrafficProfile,
     ZERO_COUNTERS,
 )
@@ -213,7 +212,7 @@ class _Footprint:
     flow count (interpolated from solo sweeps).  Main-memory traffic per
     cache reference grows with the combined working set of the NIC; the
     curve is recovered from the profiled co-run rows, falling back to the
-    solo miss fraction when the total working set is unknown.
+    solo miss fraction when the rows gave none.
     """
 
     def __init__(self, car_per_pkt: float, irt_per_pkt: float,
@@ -232,11 +231,12 @@ class _Footprint:
         return float(np.interp(traffic.flow_count, xs, ys))
 
     def counters(self, wss: float, throughput: float,
-                 total_wss: float | None = None) -> CounterSnapshot:
-        """Counters at ``throughput`` with own working set ``wss``."""
+                 total_wss: float) -> CounterSnapshot:
+        """Counters at ``throughput`` with own working set ``wss`` on a NIC
+        whose combined working set is ``total_wss``."""
         car = self.car_per_pkt * throughput
         irt = self.irt_per_pkt * throughput
-        if total_wss is not None and self.miss_curve is not None:
+        if self.miss_curve is not None:
             frac = float(np.interp(total_wss, *self.miss_curve))
         else:
             frac = self.mem_frac
@@ -282,15 +282,11 @@ class NfPredictor:
     metadata: dict
 
     @property
-    def resource_models(self) -> dict:
-        out = dict(self.accel_models)
-        if self.mem_model is not None:
-            out[ResourceKind.MEMORY] = self.mem_model
-        return out
-
-    @property
     def resources(self) -> tuple[ResourceKind, ...]:
-        return tuple(sorted(self.resource_models, key=lambda k: k.value))
+        kinds = list(self.accel_models)
+        if self.mem_model is not None:
+            kinds.append(ResourceKind.MEMORY)
+        return tuple(sorted(kinds, key=lambda k: k.value))
 
     def _solo_rates(self, traffic: TrafficProfile) -> list[float]:
         """Uncontended memory-path rate, then each accelerator's solo rate
@@ -307,15 +303,13 @@ class NfPredictor:
 
     # -- prediction ----------------------------------------------------------
 
-    def stage_rates(
+    def predict(
         self, traffic: TrafficProfile, contention: ContentionDescriptor
-    ) -> dict:
-        """Predicted per-resource contended rates at the given point."""
-        self.solo_table.check_bounds(traffic)
-        return self._stage_rates(traffic, contention, self.solo_table.rate(traffic))
-
-    def _stage_rates(self, traffic: TrafficProfile,
-                     contention: ContentionDescriptor, mem_solo: float) -> dict:
+    ) -> PredictionResult:
+        """Predicted throughput, with the per-resource contended rates
+        (``stage_rates``) and the drops composed from them."""
+        solo = self._solo_rates(traffic)
+        t_solo = compose_rates(self.pattern, solo)
         rates: dict[ResourceKind, float] = {}
         if self.mem_model is not None:
             # The wss feature is the combined working set: competitors'
@@ -326,7 +320,7 @@ class NfPredictor:
             )
             feats = mem_model.feature_vector(counters, traffic)
             rates[ResourceKind.MEMORY] = max(
-                1e-9, min(mem_model.predict(self.mem_model, feats), mem_solo),
+                1e-9, min(mem_model.predict(self.mem_model, feats), solo[0]),
             )
         for kind, params in self.accel_models.items():
             if kind not in contention.accel:
@@ -337,14 +331,6 @@ class NfPredictor:
             rates[kind] = predict_at_offered_load(
                 params, attr, contention.accel[kind]
             )
-        return rates
-
-    def predict(
-        self, traffic: TrafficProfile, contention: ContentionDescriptor
-    ) -> PredictionResult:
-        solo = self._solo_rates(traffic)
-        t_solo = compose_rates(self.pattern, solo)
-        rates = self._stage_rates(traffic, contention, solo[0])
 
         # Per-resource drop: solo end-to-end minus the end-to-end rate with
         # only that resource contended (the others at their solo rates).
@@ -547,6 +533,9 @@ def build(
         if name == "flow_count":
             wss_axis = (xs, wss_ys)
     solo_table = _SoloTable(base_rate, axes, bounds)
+    solo_counters = runner.own_counters(DEFAULT_TRAFFIC)
+    if wss_axis is None:
+        wss_axis = ([1.0], [solo_counters.wss])
 
     # Black-box memory model from adaptive profiling, retargeted to the
     # memory-path rate.
@@ -555,13 +544,6 @@ def build(
     if ResourceKind.MEMORY in touched:
         if dataset is None:
             dataset = adaptive_profile(nf_name, config, runner)
-        base_own = runner.own_counters(DEFAULT_TRAFFIC).wss
-
-        def own_wss(traffic: TrafficProfile) -> float:
-            if wss_axis is None:
-                return base_own
-            return float(np.interp(traffic.flow_count, *wss_axis))
-
         rows = []
         for row in dataset.rows:
             rate = _mem_path_rate(row.observed_throughput, pattern,
@@ -571,7 +553,8 @@ def build(
             # Same combined-working-set convention as at predict time.
             counters = dataclasses.replace(
                 row.competitor_counters,
-                wss=row.competitor_counters.wss + own_wss(row.traffic),
+                wss=row.competitor_counters.wss
+                + float(np.interp(row.traffic.flow_count, *wss_axis)),
             )
             rows.append(dataclasses.replace(
                 row, observed_throughput=rate, competitor_counters=counters,
@@ -584,13 +567,10 @@ def build(
             "pruned_attributes": list(dataset.pruned_attributes),
         }
 
-    solo_counters = runner.own_counters(DEFAULT_TRAFFIC)
     car_pp = solo_counters.car / t_solo_default
     irt_pp = solo_counters.irt / t_solo_default
     mem_frac = ((solo_counters.memrd + solo_counters.memwr) / solo_counters.car
                 if solo_counters.car > 0 else 0.0)
-    if wss_axis is None:
-        wss_axis = ([1.0], [solo_counters.wss])
 
     # Miss fraction as a function of the NIC's combined working set,
     # recovered from the profiled co-run rows (competitor wss plus the

@@ -119,9 +119,6 @@ class ProfilingDataset:
     samples_used: int
     config: dict
 
-    def __iter__(self):
-        return iter(self.rows)
-
 
 class _Book:
     """Mutable sample accounting: memoization, quota, and row collection."""
@@ -272,7 +269,6 @@ def full_profile(
     contention_resources: tuple[ResourceKind, ...] = (ResourceKind.MEMORY,),
     draws_per_cell: int = 1,
     seed: int = 0,
-    hard_cap: int = FULL_PROFILE_CAP,
 ) -> ProfilingDataset:
     """The complete Cartesian traffic grid with random contention draws."""
     if not grid or any(len(v) == 0 for v in grid.values()):
@@ -280,9 +276,9 @@ def full_profile(
     size = draws_per_cell
     for v in grid.values():
         size *= len(v)
-    if size > hard_cap:
+    if size > FULL_PROFILE_CAP:
         raise InvalidInputError(
-            f"full grid would need {size} samples, above the cap of {hard_cap}"
+            f"full grid would need {size} samples, above the cap of {FULL_PROFILE_CAP}"
         )
     rng = np.random.default_rng(seed)
     book = _Book(nf_name, Strategy.FULL, None)

@@ -141,12 +141,6 @@ class NfSpec(Codec):
     def resources(self) -> tuple[ResourceKind, ...]:
         return tuple(s.resource for s in self.stages)
 
-    def stage(self, kind: ResourceKind) -> NfStage | None:
-        for s in self.stages:
-            if s.resource == kind:
-                return s
-        return None
-
     def wss(self, traffic: TrafficProfile) -> float:
         if self.wss_override is not None:
             return self.wss_override

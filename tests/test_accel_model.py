@@ -148,6 +148,13 @@ def test_params_validation_and_roundtrip():
         AccelModelParams(queue_count=1, t0=0.0)
     with pytest.raises(InvalidInputError):
         AccelModelParams(queue_count=1, t0=1e-6, a=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError):
+            AccelModelParams(queue_count=1, t0=bad)
+        with pytest.raises(InvalidInputError):
+            AccelModelParams(queue_count=1, t0=1e-6, a=bad)
+        with pytest.raises(InvalidInputError):
+            AccelModelParams.from_dict({"queue_count": 1, "t0": 1e-6, "a": str(bad)})
     p = AccelModelParams(queue_count=3, t0=2e-6, a=1e-9,
                          resource=ResourceKind.COMPRESSION_ACCEL, fit_r2=0.99)
     assert AccelModelParams.from_dict(p.to_dict()) == p

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicperf.accel_model import AccelModelParams
+from nicperf.apps import diagnose
 from nicperf.catalog import SimulatorRunner, get_nf
 from nicperf.core import (
     DEFAULT_TRAFFIC,
@@ -140,3 +143,40 @@ def test_contended_memory_prediction_tracks_oracle(bundle_cache):
         desc = ContentionDescriptor(counters=row.competitor_counters)
         pred = p.predict(traffic, desc).throughput
         assert pred == pytest.approx(row.observed_throughput, rel=0.10)
+
+
+_TRAFFIC = st.builds(
+    TrafficProfile,
+    flow_count=st.integers(1, 500_000),
+    packet_size=st.integers(64, 1500),
+    mtbr=st.floats(0.0, 1100.0),
+)
+_COUNTERS = st.builds(
+    CounterSnapshot, ipc=st.floats(0.0, 10.0), irt=st.floats(0.0, 1e10),
+    l2crd=st.floats(0.0, 1e9), l2cwr=st.floats(0.0, 1e9),
+    memrd=st.floats(0.0, 1e9), memwr=st.floats(0.0, 1e9), wss=st.floats(0.0, 64e6),
+)
+_REGEX_COMPETITOR = st.tuples(
+    st.builds(AccelModelParams, queue_count=st.integers(1, 4),
+              t0=st.floats(1e-7, 1e-4), a=st.floats(0.0, 1e-8),
+              resource=st.just(ResourceKind.REGEX_ACCEL)),
+    st.floats(0.0, 1100.0),
+    st.one_of(st.floats(0.0, 1e7), st.just(math.inf)),
+)
+
+
+@pytest.mark.parametrize("nf", ["nat", "flowmonitor"])
+@settings(max_examples=40, deadline=None)
+@given(traffic=_TRAFFIC, counters=_COUNTERS,
+       competitors=st.lists(_REGEX_COMPETITOR, max_size=3))
+def test_prediction_bounded_for_any_valid_descriptor(bundle_cache, nf, traffic,
+                                                     counters, competitors):
+    p = bundle_cache(nf, 200)
+    accel = {kind: tuple(competitors) for kind in p.accel_models}
+    desc = ContentionDescriptor(counters=counters, accel=accel)
+    res = p.predict(traffic, desc)
+    assert res.t_solo == p.t_solo(traffic)
+    assert 0.0 <= res.throughput <= res.t_solo
+    if len(p.resources) > 1:
+        rates = res.stage_rates
+        assert diagnose(p, traffic, desc) is min(rates, key=lambda k: (rates[k], k.value))
