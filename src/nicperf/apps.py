@@ -81,7 +81,7 @@ class SlaSpec:
 
 
 @dataclasses.dataclass(frozen=True)
-class NfInstance:
+class NfInstance(Codec):
     """One arriving NF: its prediction bundle, traffic, and SLA."""
 
     instance_id: str
@@ -108,7 +108,7 @@ class NfInstance:
 
 
 @dataclasses.dataclass
-class Nic:
+class Nic(Codec):
     nic_id: int
     residents: list[NfInstance] = dataclasses.field(default_factory=list)
 
@@ -118,7 +118,7 @@ class Nic:
 
 
 @dataclasses.dataclass
-class Fleet:
+class Fleet(Codec):
     nics: list[Nic] = dataclasses.field(default_factory=list)
 
     def provision(self) -> Nic:
@@ -129,26 +129,6 @@ class Fleet:
     @property
     def instances(self) -> list[NfInstance]:
         return [inst for nic in self.nics for inst in nic.residents]
-
-    def to_dict(self) -> dict:
-        return {
-            "nics": [
-                {
-                    "nic_id": nic.nic_id,
-                    "residents": [inst.to_dict() for inst in nic.residents],
-                }
-                for nic in self.nics
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Fleet":
-        fleet = cls()
-        for nd in d["nics"]:
-            nic = Nic(nic_id=nd["nic_id"])
-            nic.residents = [NfInstance.from_dict(r) for r in nd["residents"]]
-            fleet.nics.append(nic)
-        return fleet
 
 
 class PlacementStrategy(str, enum.Enum):
@@ -287,18 +267,10 @@ def place_sequence(
 # --------------------------------------------------------------------------
 
 class _Oracle:
-    """Memoized ground-truth throughputs for instance groups."""
+    """Ground-truth throughputs for instance groups; solo runs are memoized."""
 
     def __init__(self):
-        self._group_memo: dict = {}
         self._solo_memo: dict = {}
-
-    def _key(self, instances) -> tuple:
-        return tuple(sorted(
-            (i.predictor.nf_name, i.traffic.flow_count, i.traffic.packet_size,
-             i.traffic.mtbr, i.instance_id)
-            for i in instances
-        ))
 
     def _throughputs(self, named: list[tuple[str, NfInstance]]) -> dict:
         """Simulated throughput of each instance's catalog NF, renamed."""
@@ -311,16 +283,6 @@ class _Oracle:
         ))
         return dict(result.per_nf_throughput)
 
-    def group_throughputs(self, instances: list[NfInstance]) -> dict:
-        key = self._key(instances)
-        hit = self._group_memo.get(key)
-        if hit is not None:
-            return hit
-        # Instance ids keep co-located copies of the same NF distinct.
-        out = self._throughputs([(i.instance_id, i) for i in instances])
-        self._group_memo[key] = out
-        return out
-
     def solo_throughput(self, inst: NfInstance) -> float:
         key = (inst.predictor.nf_name, inst.traffic)
         hit = self._solo_memo.get(key)
@@ -332,7 +294,8 @@ class _Oracle:
     def violations(self, instances: list[NfInstance]) -> list[str]:
         if len(instances) <= 1:
             return []
-        thr = self.group_throughputs(instances)
+        # Instance ids keep co-located copies of the same NF distinct.
+        thr = self._throughputs([(i.instance_id, i) for i in instances])
         out = []
         for inst in instances:
             solo = self.solo_throughput(inst)

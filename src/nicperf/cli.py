@@ -34,7 +34,7 @@ from .apps import (
     optimal_nic_count,
     place_sequence,
 )
-from .catalog import SimulatorRunner, get_nf
+from .catalog import ATTRIBUTE_RANGES, SimulatorRunner, get_nf
 from .composer import AmbiguousPatternError
 from .core import (
     DEFAULT_TRAFFIC,
@@ -183,7 +183,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    runner = SimulatorRunner(get_nf(args.nf), seed=args.seed or 0)
+    runner = SimulatorRunner(get_nf(args.nf))
     cfg_doc = _load_json(args.config)
     if args.strategy == "full":
         dataset = full_profile(
@@ -207,7 +207,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_train(args) -> int:
-    runner = SimulatorRunner(get_nf(args.nf), seed=args.seed or 0)
+    runner = SimulatorRunner(get_nf(args.nf))
     dataset = load_dataset(args.dataset)
     if dataset.nf_name != args.nf:
         raise InvalidInputError(
@@ -236,9 +236,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _evaluator(bundle_text: str, seed: int) -> tuple[NfPredictor, SimulatorRunner]:
+def _evaluator(bundle_text: str) -> tuple[NfPredictor, SimulatorRunner]:
     bundle = NfPredictor.from_json(bundle_text)
-    return bundle, SimulatorRunner(get_nf(bundle.nf_name), seed=seed)
+    return bundle, SimulatorRunner(get_nf(bundle.nf_name))
 
 
 def _evaluate_point(bundle: NfPredictor, runner: SimulatorRunner,
@@ -257,9 +257,9 @@ def _evaluate_point(bundle: NfPredictor, runner: SimulatorRunner,
 _worker_evaluator: tuple | None = None
 
 
-def _init_worker(bundle_text: str, seed: int) -> None:
+def _init_worker(bundle_text: str) -> None:
     global _worker_evaluator
-    _worker_evaluator = _evaluator(bundle_text, seed)
+    _worker_evaluator = _evaluator(bundle_text)
 
 
 def _worker_point(point: dict) -> tuple[float, float]:
@@ -268,13 +268,12 @@ def _worker_point(point: dict) -> tuple[float, float]:
 
 def cmd_evaluate(args) -> int:
     bundle_text = Path(args.bundle).read_text()
-    seed = args.seed or 0
     # Parsed here also with --jobs, so a bad bundle fails before any worker starts.
-    evaluator = _evaluator(bundle_text, seed)
+    evaluator = _evaluator(bundle_text)
     grid = _load_json(args.testgrid)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
-                                 initargs=(bundle_text, seed)) as pool:
+                                 initargs=(bundle_text,)) as pool:
             pairs = list(pool.map(_worker_point, grid["points"]))
     else:
         pairs = [_evaluate_point(*evaluator, p) for p in grid["points"]]
@@ -360,14 +359,24 @@ def cmd_diagnose(args) -> int:
     bundle = NfPredictor.from_json(Path(args.bundle).read_text())
     sweep = _load_json(args.sweep)
     attr = sweep["attribute"]
+    if attr not in ATTRIBUTE_RANGES:
+        raise InvalidInputError(
+            f"sweep attribute must be one of {', '.join(ATTRIBUTE_RANGES)}, "
+            f"got {attr!r}")
     if "values" in sweep:
+        if not isinstance(sweep["values"], list):
+            raise InvalidInputError("sweep values must be a list")
         values = [float(v) for v in sweep["values"]]
     else:
         lo, hi, n = float(sweep["start"]), float(sweep["stop"]), int(sweep["points"])
+        if n < 2:
+            raise InvalidInputError(f"a start/stop sweep needs points >= 2, got {n}")
         values = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    if not values:
+        raise InvalidInputError("the sweep has no values")
     base = TrafficProfile.from_dict(sweep.get("traffic", {}))
     levels_doc = sweep.get("levels", {})
-    runner = SimulatorRunner(get_nf(bundle.nf_name), seed=args.seed or 0)
+    runner = SimulatorRunner(get_nf(bundle.nf_name))
 
     rows = []
     agree = 0
@@ -447,16 +456,18 @@ def _build_parser() -> _Parser:
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed recorded in the inputs")
         p.set_defaults(func=fn)
         return p
 
+    seed_help = "override the seed recorded in the inputs"
+
     p = add("simulate", cmd_simulate, help="run one ground-truth scenario")
+    p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
 
     p = add("profile", cmd_profile, help="collect a training dataset")
+    p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--nf", required=True)
     p.add_argument("--strategy", required=True,
                    choices=["adaptive", "random", "full"])

@@ -235,15 +235,14 @@ def memory_throughput(
 def simulate_accelerator_rr(
     specs: Sequence[tuple[int, float, float]],
     horizon: float,
-    batch: int = 1,
 ) -> list[float]:
     """Discrete-event round-robin service of one accelerator.
 
     ``specs`` lists (queue_count, per_request_time, offered_rate) per NF;
     an infinite offered_rate means the queues are always backlogged.  One
-    server cycles over all queues, serving up to ``batch`` requests per
-    visit from non-empty queues.  Returns the long-run service throughput
-    per NF measured after a warm-up prefix, and requires the estimate to
+    server cycles over all queues, serving one request per visit to a
+    non-empty queue.  Returns the long-run service throughput per NF
+    measured after a warm-up prefix, and requires the estimate to
     stabilize across two half-windows.
     """
     if horizon <= 0:
@@ -300,20 +299,16 @@ def simulate_accelerator_rr(
                     now = max(now, nxt)
                     idle_streak = 0
                 continue
+            backlog[j] -= 1
         idle_streak = 0
-        served = batch
-        if not saturating[j]:
-            served = min(batch, backlog[j])
-            backlog[j] -= served
-        for _ in range(served):
-            now += service[j]
-            if now >= horizon:
-                break
-            if now > warm_end:
-                if now <= mid:
-                    served_h1[j] += 1
-                else:
-                    served_h2[j] += 1
+        now += service[j]
+        if now >= horizon:
+            break
+        if now > warm_end:
+            if now <= mid:
+                served_h1[j] += 1
+            else:
+                served_h2[j] += 1
 
     half = (horizon - warm_end) / 2.0
     rates = [(a + b) / (2.0 * half) for a, b in zip(served_h1, served_h2)]
@@ -477,16 +472,15 @@ def run_scenario(scenario: ContentionScenario) -> SimulationResult:
                     return SATURATING
                 return min(others)
 
-            for target in users:
-                rr_specs = []
-                order = []
-                for s in users:
-                    rate = SATURATING if s.name == target.name else feed(s)
-                    rr_specs.append((s.queue_count, unit_times[s.name][kind], rate))
-                    order.append(s.name)
+            for i, target in enumerate(users):
+                rr_specs = [
+                    (s.queue_count, unit_times[s.name][kind],
+                     SATURATING if s is target else feed(s))
+                    for s in users
+                ]
                 horizon = _default_horizon(rr_specs, scenario.sim_cycles)
                 rates = simulate_accelerator_rr(rr_specs, horizon)
-                new_stage_thr[target.name][kind] = rates[order.index(target.name)]
+                new_stage_thr[target.name][kind] = rates[i]
 
         new_thr = {}
         for s in specs:

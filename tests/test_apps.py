@@ -152,6 +152,10 @@ def test_fleet_roundtrip(bundle_cache):
         [i.instance_id for i in fleet.instances]
     assert again.instances[0].predictor.to_json() == \
         fleet.instances[0].predictor.to_json()
+    doc = fleet.to_dict()
+    del doc["nics"][0]["nic_id"]
+    with pytest.raises(InvalidInputError, match="Nic: missing key 'nic_id'"):
+        Fleet.from_dict(doc)
 
 
 def test_diagnose_single_resource_is_trivial(bundle_cache):

@@ -174,6 +174,24 @@ def test_diagnose_sweep(flowmonitor_bundle, tmp_path):
     assert rows[1][1:3] == ["1100", "regex_accel"]
 
 
+@pytest.mark.parametrize("sweep", [
+    {"attribute": "foo", "values": [1, 2]},
+    {"attribute": "mtbr", "start": 0, "stop": 1100, "points": 1},
+    {"attribute": "mtbr", "values": []},
+    {"attribute": "mtbr", "values": 5},
+], ids=["unknown-attribute", "one-point", "no-values", "values-not-a-list"])
+def test_diagnose_rejects_malformed_sweep(flowmonitor_bundle, tmp_path, capsys, sweep):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep))
+    out = tmp_path / "diag.csv"
+    rc = main(["diagnose", "--bundle", str(flowmonitor_bundle),
+               "--sweep", str(path), "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "invalid-input"
+    assert not out.exists()
+
+
 def test_report_aggregates(flowmonitor_bundle, tmp_path):
     sim_out = tmp_path / "sim.json"
     main(["simulate", "--scenario", str(SCENARIO), "--out", str(sim_out)])
@@ -212,4 +230,9 @@ def test_usage_errors_exit_1():
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required arguments
+    assert exc.value.code == 1
+    # --seed is an option of simulate and profile only.
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--nf", "nat", "--dataset", "d.jsonl", "--out", "b.json",
+              "--seed", "1"])
     assert exc.value.code == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicperf.core import (
     DEFAULT_TRAFFIC,
@@ -13,7 +15,10 @@ from nicperf.core import (
 from nicperf.simulator import (
     BENCH_CAR_MAX,
     BENCH_WSS_MAX,
+    STABILITY_TOL,
+    WARMUP_FRACTION,
     ContentionScenario,
+    ConvergenceError,
     MemParams,
     NfSpec,
     NfStage,
@@ -53,17 +58,103 @@ def test_rr_equal_specs_equal_rates():
     assert spread <= 0.01
 
 
-def test_rr_batch_invariance_at_saturation():
-    # Serving several backlogged requests per visit rescales the cycle but
-    # not the long-run shares.
-    specs = [(1, 3e-6, math.inf), (2, 10e-6, math.inf)]
-    per_batch = [
-        simulate_accelerator_rr(specs, horizon_for(specs, 4000 * b), batch=b)
-        for b in (1, 4, 16)
+def _reference_rr(specs, horizon):
+    """The round-robin loop as it was written with a per-visit ``batch``,
+    at ``batch = 1``: the reference the simulator must reproduce exactly.
+    Inputs are assumed valid."""
+    batch = 1
+    n_nfs = len(specs)
+    visit_nf = []
+    for j, (n, _, _) in enumerate(specs):
+        visit_nf.extend([j] * n)
+    service = [n * t for (n, t, _) in specs]
+    saturating = [math.isinf(rate) for (_, _, rate) in specs]
+    interarrival = [
+        (math.inf if rate == 0 or math.isinf(rate) else 1.0 / rate)
+        for (_, _, rate) in specs
     ]
-    for rates in per_batch[1:]:
-        for r, ref in zip(rates, per_batch[0]):
-            assert r == pytest.approx(ref, rel=0.02)
+    next_arrival = [0.0 if not math.isinf(ia) else math.inf for ia in interarrival]
+    backlog = [0] * n_nfs
+
+    warm_end = WARMUP_FRACTION * horizon
+    mid = warm_end + (horizon - warm_end) / 2.0
+    served_h1 = [0] * n_nfs
+    served_h2 = [0] * n_nfs
+
+    now = 0.0
+    n_visits = len(visit_nf)
+    i = 0
+    idle_streak = 0
+    while now < horizon:
+        j = visit_nf[i]
+        i = (i + 1) % n_visits
+        if not saturating[j]:
+            while next_arrival[j] <= now:
+                backlog[j] += 1
+                next_arrival[j] += interarrival[j]
+            if backlog[j] == 0:
+                idle_streak += 1
+                if idle_streak >= n_visits:
+                    nxt = min(next_arrival)
+                    if math.isinf(nxt):
+                        break
+                    now = max(now, nxt)
+                    idle_streak = 0
+                continue
+        idle_streak = 0
+        served = batch
+        if not saturating[j]:
+            served = min(batch, backlog[j])
+            backlog[j] -= served
+        for _ in range(served):
+            now += service[j]
+            if now >= horizon:
+                break
+            if now > warm_end:
+                if now <= mid:
+                    served_h1[j] += 1
+                else:
+                    served_h2[j] += 1
+
+    half = (horizon - warm_end) / 2.0
+    rates = [(a + b) / (2.0 * half) for a, b in zip(served_h1, served_h2)]
+    for j in range(n_nfs):
+        r1, r2 = served_h1[j] / half, served_h2[j] / half
+        ref = max(r1, r2)
+        if abs(served_h1[j] - served_h2[j]) <= 2:
+            continue
+        if ref > 0 and abs(r1 - r2) / ref > STABILITY_TOL:
+            raise ConvergenceError(f"NF {j} did not stabilize")
+    return rates
+
+
+# One NF of an RR run: queue count, per-request time, and an offered rate
+# that is saturating, zero, or a finite fraction (below or above 1) of the
+# NF's solo capacity 1 / (n * t).
+_RR_NF = st.tuples(
+    st.integers(1, 3),
+    st.floats(0.5, 20.0).map(lambda us: us * 1e-6),
+    st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.05, 2.0)),
+).map(lambda nf: (nf[0], nf[1],
+                  nf[2] if nf[2] in (0.0, math.inf) else nf[2] / (nf[0] * nf[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=st.lists(_RR_NF, min_size=1, max_size=4),
+       cycles=st.integers(200, 2500))
+def test_rr_matches_reference(specs, cycles):
+    horizon = horizon_for(specs, cycles)
+    try:
+        expect = _reference_rr(specs, horizon)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            simulate_accelerator_rr(specs, horizon)
+        return
+    rates = simulate_accelerator_rr(specs, horizon)
+    assert rates == expect
+    if all(math.isinf(rate) for _, _, rate in specs):
+        for i, r in enumerate(rates):
+            assert r == pytest.approx(equilibrium(specs, i), rel=0.02)
 
 
 def test_rr_open_loop_below_capacity_serves_offered_rate():
