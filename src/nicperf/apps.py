@@ -6,8 +6,7 @@ contention-aware strategy only uses prediction bundles, never the
 oracle; the oracle comes back in evaluate_placement to score the
 resulting fleet, and in the branch-and-bound search for the smallest
 feasible fleet that placement quality is measured against.  The oracle
-simulates every group with the ContentionScenario defaults, as the
-profiling runner does.
+simulates every group on the same fixed NIC as the profiling runner.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .predictor import (
     NfPredictor,
     PredictionResult,
 )
-from .simulator import ContentionScenario, run_scenario
+from .simulator import ContentionScenario, ConvergenceError, run_scenario
 
 __all__ = [
     "NF_SLOTS",
@@ -174,7 +173,9 @@ def predict_group(instances: list[NfInstance]) -> dict:
     counters proportional to their own predicted throughput and offer
     accelerator load at their predicted memory-stage rate (an NF's
     accelerator feed is capped by its other stages, not by its end-to-end
-    rate).  Returns instance_id -> PredictionResult.
+    rate).  Returns instance_id -> PredictionResult; raises
+    ConvergenceError if the fixed point does not settle within
+    ``_GROUP_MAX_ITER`` iterations.
     """
     if not instances:
         return {}
@@ -205,12 +206,19 @@ def predict_group(instances: list[NfInstance]) -> dict:
             if old > 0:
                 worst = max(worst, abs(new - old) / old)
         if worst < _GROUP_TOL:
-            break
-    return results
+            return results
+    raise ConvergenceError(
+        f"group prediction did not converge in {_GROUP_MAX_ITER} iterations; "
+        f"last relative change {worst:.3g}"
+    )
 
 
 def _group_meets_slas(instances: list[NfInstance]) -> bool:
-    results = predict_group(instances)
+    """A group whose prediction does not converge does not meet its SLAs."""
+    try:
+        results = predict_group(instances)
+    except ConvergenceError:
+        return False
     for inst in instances:
         res = results[inst.instance_id]
         if res.saturated:

@@ -7,9 +7,8 @@ three multi-resource NFs that also exercise the accelerators.
 SimulatorRunner is the bridge between opaque-handle callbacks (profiler,
 parameter inference, pattern detection) and the simulator: it co-runs a
 target NF with benchmark NFs at requested contention levels and memoizes
-every configuration.  Every co-run uses the ContentionScenario defaults
-for the LLC size, memory parameters, counter noise (none) and RR
-horizon.  Accelerator-stage throughput is treated as observable during
+every configuration.  Every co-run is simulated on the simulator's one
+fixed NIC.  Accelerator-stage throughput is treated as observable during
 offline profiling (the devices expose request counters), and inference
 co-runs drive the target at saturating load.
 """
@@ -151,13 +150,12 @@ class SimulatorRunner:
     Contention is expressed as a mapping ResourceKind -> level in [0, 1];
     each non-zero level adds the matching benchmark NF to the scenario.
     Results are memoized per configuration, and ``runs`` counts actual
-    simulator invocations.  Scenarios take the ContentionScenario
-    defaults; ``seed`` only seeds counter noise, which they switch off.
+    simulator invocations.  The simulator is deterministic, so ``seed``
+    is accepted for existing callers and has no effect.
     """
 
     def __init__(self, spec: NfSpec, *, seed: int = 0):
         self.spec = spec
-        self.seed = seed
         self.runs = 0
         self._memo: dict = {}
 
@@ -184,7 +182,7 @@ class SimulatorRunner:
             nfs.append((bench, DEFAULT_TRAFFIC))
         if extra is not None:
             nfs.append((extra, DEFAULT_TRAFFIC))
-        scenario = ContentionScenario(nfs=tuple(nfs), seed=self.seed)
+        scenario = ContentionScenario(nfs=tuple(nfs))
         result = run_scenario(scenario)
         self.runs += 1
         self._memo[key] = (scenario, result)

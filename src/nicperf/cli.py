@@ -172,10 +172,7 @@ def _config_from_dataset(dataset) -> ProfilingConfig:
 # --------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    doc = _load_json(args.scenario)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    scenario = ContentionScenario.from_dict(doc)
+    scenario = ContentionScenario.from_dict(_load_json(args.scenario))
     result = run_scenario(scenario)
     _dump_json({"schema": "simulation-result", **result.to_dict()}, args.out)
     _write_manifest("simulate", args, [args.scenario], [args.out])
@@ -459,15 +456,12 @@ def _build_parser() -> _Parser:
         p.set_defaults(func=fn)
         return p
 
-    seed_help = "override the seed recorded in the inputs"
-
     p = add("simulate", cmd_simulate, help="run one ground-truth scenario")
-    p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
 
     p = add("profile", cmd_profile, help="collect a training dataset")
-    p.add_argument("--seed", type=int, help=seed_help)
+    p.add_argument("--seed", type=int, help="override the config's seed")
     p.add_argument("--nf", required=True)
     p.add_argument("--strategy", required=True,
                    choices=["adaptive", "random", "full"])

@@ -460,7 +460,6 @@ def build(
     config: ProfilingConfig,
     runner,
     *,
-    hyper: GbrHyperParams = GbrHyperParams(),
     dataset=None,
 ) -> NfPredictor:
     """Profile, train, and assemble the prediction bundle for one NF.
@@ -559,7 +558,7 @@ def build(
             rows.append(dataclasses.replace(
                 row, observed_throughput=rate, competitor_counters=counters,
             ))
-        gbr = mem_model.train(rows, hyper)
+        gbr = mem_model.train(rows)
         dataset_info = {
             "strategy": dataset.strategy.value,
             "samples_used": dataset.samples_used,
@@ -592,7 +591,7 @@ def build(
     metadata = {
         "version": BUNDLE_VERSION,
         "config": config.to_dict(),
-        "hyper": hyper.to_dict(),
+        "hyper": GbrHyperParams().to_dict(),
         "eps0": eps0,
         "touched": [k.value for k in touched],
         "pattern_report": pattern_report,

@@ -334,15 +334,17 @@ def load_dataset(path: str | Path) -> ProfilingDataset:
     rows = [ThroughputSample.from_dict(json.loads(line))
             for line in path.read_text().splitlines() if line.strip()]
     mpath = _manifest_path(path)
-    if mpath.exists():
-        m = json.loads(mpath.read_text())
-        return ProfilingDataset(
-            nf_name=m["nf"],
-            strategy=Strategy(m["strategy"]),
-            rows=rows,
-            pruned_attributes=tuple(m.get("pruned_attributes", [])),
-            samples_used=int(m.get("samples_used", len(rows))),
-            config=m.get("config", {}),
+    if not mpath.exists():
+        raise InvalidInputError(
+            f"dataset {path} has no manifest {mpath.name}; "
+            "a dataset is the JSONL rows plus the manifest profile writes"
         )
-    name = rows[0].target_nf if rows else "unknown"
-    return ProfilingDataset(name, Strategy.RANDOM, rows, (), len(rows), {})
+    m = json.loads(mpath.read_text())
+    return ProfilingDataset(
+        nf_name=m["nf"],
+        strategy=Strategy(m["strategy"]),
+        rows=rows,
+        pruned_attributes=tuple(m.get("pruned_attributes", [])),
+        samples_used=int(m.get("samples_used", len(rows))),
+        config=m.get("config", {}),
+    )

@@ -16,15 +16,17 @@ equilibrium throughput of NF ``i`` is exactly
 which is the closed form the white-box accelerator model predicts.  Solo
 throughput is 1 / (n * t) under the same semantics, consistent with the
 closed form evaluated with a single NF.
+
+The simulated NIC is fixed (BlueField-2): its last-level cache
+(``LLC_BYTES``), memory subsystem (``MEM_PARAMS``) and round-robin
+horizon (``SIM_CYCLES``) are constants, so a scenario is just its NFs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .composer import compose_rates
 from .core import (
@@ -40,6 +42,9 @@ __all__ = [
     "NfStage",
     "NfSpec",
     "MemParams",
+    "LLC_BYTES",
+    "MEM_PARAMS",
+    "SIM_CYCLES",
     "ContentionScenario",
     "SimulationResult",
     "ConvergenceError",
@@ -58,6 +63,8 @@ SATURATING = math.inf
 WARMUP_FRACTION = 0.1
 #: Two half-window throughput estimates must agree within this fraction.
 STABILITY_TOL = 0.005
+#: Round-robin cycles per accelerator run (sets the run's horizon).
+SIM_CYCLES = 2500
 
 
 class ConvergenceError(RuntimeError):
@@ -152,8 +159,8 @@ class NfSpec(Codec):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MemParams(Codec):
-    """Piece-wise-linear memory-penalty parameters (scenario ground truth).
+class MemParams:
+    """Piece-wise-linear memory-penalty parameters of the simulated NIC.
 
     Capacity of a memory stage is its solo rate scaled by two factors:
 
@@ -174,41 +181,25 @@ class MemParams(Codec):
     miss_base: float = 0.04
     miss_sat: float = 0.45
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise InvalidInputError(
-                    f"MemParams.{f.name} must be finite, got {getattr(self, f.name)}"
-                )
-        if not self.wss_ramp_bytes > 0:
-            raise InvalidInputError(
-                f"wss_ramp_bytes must be positive, got {self.wss_ramp_bytes}"
-            )
-        if not self.car_sat > self.car_knee:
-            raise InvalidInputError(
-                f"car_sat ({self.car_sat}) must exceed car_knee ({self.car_knee})"
-            )
-        for name in ("wss_floor_frac", "car_floor_frac", "miss_base", "miss_sat"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise InvalidInputError(
-                    f"{name} must be in [0, 1], got {getattr(self, name)}"
-                )
+
+#: The simulated NIC's last-level cache, in bytes.
+LLC_BYTES = 6 * 2**20
+#: The simulated NIC's memory subsystem.
+MEM_PARAMS = MemParams()
 
 
-def _wss_ramp_frac(total_wss: float, llc_bytes: float, params: MemParams) -> float:
-    if total_wss <= llc_bytes:
+def _wss_ramp_frac(total_wss: float) -> float:
+    if total_wss <= LLC_BYTES:
         return 0.0
-    return min(1.0, (total_wss - llc_bytes) / params.wss_ramp_bytes)
+    return min(1.0, (total_wss - LLC_BYTES) / MEM_PARAMS.wss_ramp_bytes)
 
 
 def memory_throughput(
     own_wss: float,
     competitor_car: float,
     competitor_wss: float,
-    params: MemParams,
     *,
     solo_pps: float,
-    llc_bytes: float = 6 * 2**20,
 ) -> float:
     """Capacity (packets/s) of a memory stage under contention.
 
@@ -216,7 +207,8 @@ def memory_throughput(
     result is a total, deterministic, piece-wise-linear function, monotone
     non-increasing in both competitor CAR and combined WSS.
     """
-    ramp = _wss_ramp_frac(own_wss + competitor_wss, llc_bytes, params)
+    params = MEM_PARAMS
+    ramp = _wss_ramp_frac(own_wss + competitor_wss)
     wss_factor = 1.0 - (1.0 - params.wss_floor_frac) * ramp
     if competitor_car <= params.car_knee:
         car_factor = 1.0
@@ -327,9 +319,9 @@ def simulate_accelerator_rr(
     return rates
 
 
-def _default_horizon(specs: Sequence[tuple[int, float, float]], cycles: int) -> float:
+def _default_horizon(specs: Sequence[tuple[int, float, float]]) -> float:
     cycle = sum(n * n * t for (n, t, _) in specs)
-    return max(cycle * cycles, 1e-6)
+    return max(cycle * SIM_CYCLES, 1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -341,17 +333,10 @@ class ContentionScenario(Codec):
     """A set of co-located NFs plus their traffic: one simulated co-run."""
 
     nfs: tuple[tuple[NfSpec, TrafficProfile], ...]
-    seed: int = 0
-    llc_bytes: float = 6 * 2**20
-    mem_params: MemParams = field(default_factory=MemParams)
-    noise_sigma: float = 0.0
-    sim_cycles: int = 2500
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.nfs) <= 4:
             raise InvalidInputError("a scenario holds 1..4 NFs")
-        if self.llc_bytes <= 0:
-            raise InvalidInputError("llc_bytes must be positive")
         names = [spec.name for spec, _ in self.nfs]
         if len(set(names)) != len(names):
             raise InvalidInputError("NF names within a scenario must be unique")
@@ -363,10 +348,19 @@ class ContentionScenario(Codec):
         d["nfs"] = [{"spec": spec, "traffic": traffic} for spec, traffic in d["nfs"]]
         return d
 
+    # The NIC is fixed, so a key that would set it is an error, not ignored.
     @classmethod
     def from_dict(cls, d: dict) -> "ContentionScenario":
+        if not isinstance(d, dict) or "nfs" not in d:
+            return super().from_dict(d)
+        unknown = sorted(set(d) - {"nfs"})
+        if unknown:
+            raise InvalidInputError(
+                f"ContentionScenario: unknown keys {', '.join(unknown)}; "
+                "a scenario holds only 'nfs', the simulated NIC is fixed"
+            )
         return super().from_dict(
-            {**d, "nfs": [(e["spec"], e["traffic"]) for e in d["nfs"]]})
+            {"nfs": [(e["spec"], e["traffic"]) for e in d["nfs"]]})
 
 
 @dataclass(frozen=True)
@@ -406,8 +400,6 @@ def run_scenario(scenario: ContentionScenario) -> SimulationResult:
     specs = [spec for spec, _ in scenario.nfs]
     traffics = {spec.name: traffic for spec, traffic in scenario.nfs}
     names = [s.name for s in specs]
-    llc = scenario.llc_bytes
-    params = scenario.mem_params
 
     wss = {s.name: s.wss(traffics[s.name]) for s in specs}
     unit_times = {
@@ -450,8 +442,8 @@ def run_scenario(scenario: ContentionScenario) -> SimulationResult:
             comp_car = sum(car_of(o) for o in specs if o.name != s.name)
             comp_wss = sum(wss[o.name] for o in specs if o.name != s.name)
             new_stage_thr[s.name][ResourceKind.MEMORY] = memory_throughput(
-                wss[s.name], comp_car, comp_wss, params,
-                solo_pps=solo_rates[s.name][ResourceKind.MEMORY], llc_bytes=llc,
+                wss[s.name], comp_car, comp_wss,
+                solo_pps=solo_rates[s.name][ResourceKind.MEMORY],
             )
 
         # Accelerator stages: one RR run per (accelerator, target) with the
@@ -478,7 +470,7 @@ def run_scenario(scenario: ContentionScenario) -> SimulationResult:
                      SATURATING if s is target else feed(s))
                     for s in users
                 ]
-                horizon = _default_horizon(rr_specs, scenario.sim_cycles)
+                horizon = _default_horizon(rr_specs)
                 rates = simulate_accelerator_rr(rr_specs, horizon)
                 new_stage_thr[target.name][kind] = rates[i]
 
@@ -502,9 +494,8 @@ def run_scenario(scenario: ContentionScenario) -> SimulationResult:
             f"scenario fixed point did not converge; last throughputs {thr}"
         )
 
-    # Counters: deterministic emission from the converged state, with an
-    # optional Gaussian noise knob.
-    rng = np.random.default_rng(scenario.seed)
+    # Counters: deterministic emission from the converged state.
+    params = MEM_PARAMS
     counters: dict[str, CounterSnapshot] = {}
     bottleneck: dict[str, ResourceKind] = {}
     for s in specs:
@@ -512,9 +503,8 @@ def run_scenario(scenario: ContentionScenario) -> SimulationResult:
         t = thr[name]
         car = car_of(s)
         total_wss = wss[name] + sum(wss[o.name] for o in specs if o.name != name)
-        miss = params.miss_base + (params.miss_sat - params.miss_base) * _wss_ramp_frac(
-            total_wss, llc, params
-        )
+        ramp = _wss_ramp_frac(total_wss)
+        miss = params.miss_base + (params.miss_sat - params.miss_base) * ramp
         mem_rate = car * miss
         if s.car_override is not None:
             irt = car * _IRT_PER_L2REF
@@ -529,11 +519,6 @@ def run_scenario(scenario: ContentionScenario) -> SimulationResult:
             "memwr": mem_rate * (1.0 - _MEM_READ_SHARE),
             "wss": s.wss_override if s.wss_override is not None else wss[name],
         }
-        if scenario.noise_sigma > 0:
-            noise = rng.normal(1.0, scenario.noise_sigma, size=len(values))
-            values = {
-                k: max(0.0, v * n) for (k, v), n in zip(values.items(), noise)
-            }
         counters[name] = CounterSnapshot(**values)
         bottleneck[name] = min(stage_thr[name], key=lambda k: stage_thr[name][k])
 

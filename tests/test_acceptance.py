@@ -401,8 +401,8 @@ def test_diagnosis_agrees_with_simulated_bottleneck(bundle_cache):
 
 def test_determinism_and_byte_identical_roundtrips(tmp_path):
     cfg = default_config(quota=60)
-    bundle_a = build("iptunnel", cfg, SimulatorRunner(get_nf("iptunnel"), seed=0))
-    bundle_b = build("iptunnel", cfg, SimulatorRunner(get_nf("iptunnel"), seed=0))
+    bundle_a = build("iptunnel", cfg, SimulatorRunner(get_nf("iptunnel")))
+    bundle_b = build("iptunnel", cfg, SimulatorRunner(get_nf("iptunnel")))
     text = bundle_a.to_json()
     assert bundle_b.to_json() == text
     assert NfPredictor.from_json(text).to_json() == text
@@ -413,7 +413,7 @@ def test_determinism_and_byte_identical_roundtrips(tmp_path):
     save_dataset(load_dataset(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
-    scenario = ContentionScenario(nfs=((get_nf("nids"), DEFAULT_TRAFFIC),), seed=4)
+    scenario = ContentionScenario(nfs=((get_nf("nids"), DEFAULT_TRAFFIC),))
     again = ContentionScenario.from_dict(scenario.to_dict())
     assert again == scenario
     r1 = run_scenario(scenario)

@@ -22,6 +22,7 @@ from nicperf.core import (
     TrafficProfile,
 )
 from nicperf.predictor import ContentionDescriptor
+from nicperf.simulator import ConvergenceError
 
 
 def light_instance(bundle_cache, i, name="iptunnel", max_drop=0.5):
@@ -99,6 +100,22 @@ def test_predict_group_consistency(bundle_cache):
     with pytest.raises(InvalidInputError):
         predict_group([insts[0], insts[0]])
     assert predict_group([]) == {}
+
+
+def test_unconverged_group_does_not_meet_slas(bundle_cache, monkeypatch):
+    # Two near-LLC flow tables with a loose SLA share a NIC, but not when
+    # their group prediction cannot converge.
+    arrivals = [
+        NfInstance(f"fs-{i}", bundle_cache("flowstats"),
+                   TrafficProfile(flow_count=8_000), SlaSpec(0.5))
+        for i in range(2)
+    ]
+    aware = PlacementStrategy.CONTENTION_AWARE
+    assert len(place_sequence(arrivals, aware).nics) == 1
+    monkeypatch.setattr("nicperf.apps._GROUP_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        predict_group(arrivals)
+    assert len(place_sequence(arrivals, aware).nics) == 2
 
 
 def test_monopolized_fleet_has_no_violations(bundle_cache):

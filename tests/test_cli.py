@@ -48,6 +48,24 @@ def test_simulate_reproducible_and_manifested(tmp_path):
         hashlib.sha256(SCENARIO.read_bytes()).hexdigest()
 
 
+def test_simulate_rejects_nic_settings(tmp_path, capsys):
+    # The simulated NIC is fixed; a scenario that tries to set it fails
+    # rather than printing numbers for hardware it did not ask for.
+    doc = read_json(SCENARIO)
+    doc.update(llc_bytes=8e6, mem_params={"car_knee": 1e8}, noise_sigma=0.0,
+               seed=0, sim_cycles=2500)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["simulate", "--scenario", str(scenario),
+               "--out", str(tmp_path / "sim.json")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "invalid-input"
+    for key in ("llc_bytes", "mem_params", "noise_sigma", "seed", "sim_cycles"):
+        assert key in err["message"]
+    assert not (tmp_path / "sim.json").exists()
+
+
 def test_profile_train_predict_workflow(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -231,7 +249,10 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required arguments
     assert exc.value.code == 1
-    # --seed is an option of simulate and profile only.
+    # --seed is an option of profile only.
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", "s.json", "--out", "o.json", "--seed", "1"])
+    assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["train", "--nf", "nat", "--dataset", "d.jsonl", "--out", "b.json",
               "--seed", "1"])

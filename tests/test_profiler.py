@@ -112,6 +112,14 @@ def test_dataset_save_load_roundtrip(tmp_path):
     assert (tmp_path / "nat2.jsonl").read_bytes() == path.read_bytes()
 
 
+def test_load_dataset_requires_manifest(tmp_path):
+    # The rows alone are not a dataset: strategy and config live in the manifest.
+    path = tmp_path / "nat.jsonl"
+    path.write_text("")
+    with pytest.raises(InvalidInputError, match="nat.manifest.json"):
+        load_dataset(path)
+
+
 def test_config_validation_and_roundtrip():
     with pytest.raises(InvalidInputError):
         ProfilingConfig(attributes=())

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,11 +14,12 @@ from nicperf.core import (
 from nicperf.simulator import (
     BENCH_CAR_MAX,
     BENCH_WSS_MAX,
+    LLC_BYTES,
+    MEM_PARAMS,
     STABILITY_TOL,
     WARMUP_FRACTION,
     ContentionScenario,
     ConvergenceError,
-    MemParams,
     NfSpec,
     NfStage,
     make_benchmark_nf,
@@ -176,29 +176,33 @@ def test_rr_input_validation():
 
 
 def test_memory_throughput_uncontended():
-    p = MemParams()
     solo = 400000.0
-    assert memory_throughput(1e6, 0.0, 0.0, p, solo_pps=solo) == solo
+    assert memory_throughput(1e6, 0.0, 0.0, solo_pps=solo) == solo
 
 
 def test_memory_throughput_floors():
-    p = MemParams()
     solo = 400000.0
-    llc = 6 * 2**20
     # WSS far past the ramp, CAR past saturation: both floors multiply.
-    t = memory_throughput(llc, 300e6, 100 * 2**20, p, solo_pps=solo)
-    assert t == pytest.approx(solo * p.wss_floor_frac * p.car_floor_frac)
+    t = memory_throughput(LLC_BYTES, 300e6, 100 * 2**20, solo_pps=solo)
+    assert t == pytest.approx(
+        solo * MEM_PARAMS.wss_floor_frac * MEM_PARAMS.car_floor_frac)
 
 
-def test_memory_throughput_monotone():
-    p = MemParams()
+_CAR = st.floats(0.0, 400e6)
+_WSS = st.floats(0.0, 40 * 2**20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(own=_WSS, car=st.tuples(_CAR, _CAR), wss=st.tuples(_WSS, _WSS))
+def test_memory_throughput_monotone(own, car, wss):
+    """Non-increasing in competitor CAR and in competitor WSS."""
     solo = 400000.0
-    cars = np.linspace(0, 300e6, 13)
-    ts = [memory_throughput(4e6, c, 4e6, p, solo_pps=solo) for c in cars]
-    assert all(a >= b for a, b in zip(ts, ts[1:]))
-    wsss = np.linspace(0, 20 * 2**20, 13)
-    ts = [memory_throughput(2e6, 50e6, w, p, solo_pps=solo) for w in wsss]
-    assert all(a >= b for a, b in zip(ts, ts[1:]))
+    lo_car, hi_car = sorted(car)
+    lo_wss, hi_wss = sorted(wss)
+    t = memory_throughput(own, lo_car, lo_wss, solo_pps=solo)
+    assert memory_throughput(own, hi_car, lo_wss, solo_pps=solo) <= t
+    assert memory_throughput(own, lo_car, hi_wss, solo_pps=solo) <= t
+    assert 0.0 < memory_throughput(own, hi_car, hi_wss, solo_pps=solo) <= solo
 
 
 def _mem_nf(name="m", base=2e-6):
@@ -296,8 +300,6 @@ def test_scenario_roundtrip():
             (make_benchmark_nf(ResourceKind.REGEX_ACCEL, 1.0, name="sat-bench"),
              DEFAULT_TRAFFIC),
         ),
-        seed=3,
-        noise_sigma=0.01,
     )
     again = ContentionScenario.from_dict(scenario.to_dict())
     assert again == scenario
@@ -338,7 +340,8 @@ def test_nf_spec_validation():
     ("miss_sat", -1.0),
 ])
 def test_mem_params_validation(field, bad):
-    with pytest.raises(InvalidInputError, match=field):
-        MemParams(**{field: bad})
-    with pytest.raises(InvalidInputError):
-        MemParams.from_dict({field: str(bad)})
+    """The memory subsystem is fixed: a scenario that sets any of its
+    parameters is rejected, not run on the default one."""
+    doc = ContentionScenario(nfs=((_mem_nf(), DEFAULT_TRAFFIC),)).to_dict()
+    with pytest.raises(InvalidInputError, match="mem_params"):
+        ContentionScenario.from_dict({**doc, "mem_params": {field: bad}})
