@@ -98,6 +98,11 @@ class NfInstance(Codec):
 
     @classmethod
     def from_dict(cls, d: dict) -> "NfInstance":
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"NfInstance: expected an object, got {d!r}")
+        for key in ("instance_id", "bundle", "traffic", "max_drop_ratio"):
+            if key not in d:
+                raise InvalidInputError(f"NfInstance: missing key {key!r}")
         return cls(
             instance_id=d["instance_id"],
             predictor=NfPredictor.from_dict(d["bundle"]),
@@ -396,7 +401,13 @@ def optimal_nic_count(instances: list[NfInstance]) -> int:
         search(next_i + 1, bins)
         bins.pop()
 
-    search(0, [])
+    try:
+        search(0, [])
+    finally:
+        # The recursive closure refers to itself; dropping the name frees
+        # it, and with it the oracle and its memo, now rather than at the
+        # next cyclic garbage collection.
+        del search
     return best
 
 

@@ -164,7 +164,7 @@ class SimulatorRunner:
     def _execute(
         self, traffic: TrafficProfile, levels, *, saturate: bool = False,
         extra: NfSpec | None = None,
-    ) -> tuple[ContentionScenario, SimulationResult]:
+    ) -> SimulationResult:
         on = levels_key(levels)
         key = (traffic, on, saturate,
                None if extra is None else (extra.name, extra.queue_count,
@@ -182,17 +182,15 @@ class SimulatorRunner:
             nfs.append((bench, DEFAULT_TRAFFIC))
         if extra is not None:
             nfs.append((extra, DEFAULT_TRAFFIC))
-        scenario = ContentionScenario(nfs=tuple(nfs))
-        result = run_scenario(scenario)
+        result = run_scenario(ContentionScenario(nfs=tuple(nfs)))
         self.runs += 1
-        self._memo[key] = (scenario, result)
-        return scenario, result
+        self._memo[key] = result
+        return result
 
     # -- profiling-facing observables ---------------------------------------
 
     def run(self, traffic: TrafficProfile, levels=None) -> SimulationResult:
-        _, result = self._execute(traffic, levels or {})
-        return result
+        return self._execute(traffic, levels or {})
 
     def throughput(self, traffic: TrafficProfile, levels=None) -> float:
         return self.run(traffic, levels).per_nf_throughput[self.spec.name]
@@ -224,7 +222,7 @@ class SimulatorRunner:
 
     def accel_stage_solo(self, kind: ResourceKind, traffic: TrafficProfile) -> float:
         """Uncontended accelerator-stage throughput with the target backlogged."""
-        _, result = self._execute(traffic, {}, saturate=True)
+        result = self._execute(traffic, {}, saturate=True)
         return result.per_nf_stage_throughput[self.spec.name][kind]
 
     def accel_corun(
@@ -236,5 +234,5 @@ class SimulatorRunner:
             kind, 1.0, queue_count=n_bench, t0=t_bench,
             name=f"infer-bench-{kind.value}",
         )
-        _, result = self._execute(traffic, {}, saturate=True, extra=bench)
+        result = self._execute(traffic, {}, saturate=True, extra=bench)
         return result.per_nf_stage_throughput[self.spec.name][kind]

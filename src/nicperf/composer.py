@@ -8,6 +8,7 @@ times add up).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -125,20 +126,13 @@ def detect_pattern(
     pred_pipe: list[float] = []
     pred_rtc: list[float] = []
 
-    def grid(idx: int, assignment: dict[ResourceKind, float]) -> None:
-        if idx == len(resources):
-            drops = {k: min(drop_at[k][v], t_solo * 0.999) for k, v in assignment.items()}
-            d = PerResourceDrops(t_solo, drops)
-            measured.append(runner(assignment))
-            pred_pipe.append(compose_pipeline(d))
-            pred_rtc.append(compose_rtc(d))
-            return
-        for lvl in levels:
-            assignment[resources[idx]] = lvl
-            grid(idx + 1, assignment)
-        del assignment[resources[idx]]
-
-    grid(0, {})
+    for combo in itertools.product(levels, repeat=len(resources)):
+        assignment = dict(zip(resources, combo))
+        drops = {k: min(drop_at[k][v], t_solo * 0.999) for k, v in assignment.items()}
+        d = PerResourceDrops(t_solo, drops)
+        measured.append(runner(assignment))
+        pred_pipe.append(compose_pipeline(d))
+        pred_rtc.append(compose_rtc(d))
     m_pipe = mape(pred_pipe, measured)
     m_rtc = mape(pred_rtc, measured)
     if abs(m_pipe - m_rtc) < ambiguity_margin:

@@ -205,30 +205,30 @@ def adaptive_profile(nf_name: str, config: ProfilingConfig, runner) -> Profiling
     names = [a[0] for a in kept]
     ranges = np.array([[a[1], a[2]] for a in kept], dtype=float)
 
-    def recurse(lo: np.ndarray, hi: np.ndarray) -> None:
-        if book.full():
-            return
+    # Depth first, upper half first: a stack of boxes, not a recursive
+    # closure, whose self-reference would keep the runner alive after
+    # the call until the next cyclic garbage collection.
+    boxes = [(ranges[:, 0].copy(), ranges[:, 1].copy())] if kept else []
+    while boxes and not book.full():
+        lo, hi = boxes.pop()
         t_lo = profile_one(book, _make_traffic(dict(zip(names, lo))), {}, runner)
         if book.full():
-            return
+            break
         t_hi = profile_one(book, _make_traffic(dict(zip(names, hi))), {}, runner)
         if abs(t_hi - t_lo) < eps1:
-            return
+            continue
         widths = hi - lo
         floors = config.min_box_frac * (ranges[:, 1] - ranges[:, 0])
         if np.all(widths <= floors):
-            return
+            continue
         mid = (lo + hi) / 2.0
         mid_traffic = _make_traffic(dict(zip(names, mid)))
         for _ in range(config.m):
             if book.full():
-                return
+                break
             profile_one(book, mid_traffic, draw_levels(), runner)
-        recurse(mid, hi)
-        recurse(lo, mid)
-
-    if kept:
-        recurse(ranges[:, 0].copy(), ranges[:, 1].copy())
+        boxes.append((lo, mid))
+        boxes.append((mid, hi))
 
     return ProfilingDataset(
         nf_name=nf_name,

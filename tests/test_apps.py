@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from nicperf import apps
 from nicperf.apps import (
     NF_SLOTS,
     Fleet,
@@ -190,3 +194,23 @@ def test_diagnose_follows_the_slow_stage(bundle_cache):
         ResourceKind.REGEX_ACCEL
     assert diagnose(p, DEFAULT_TRAFFIC.replace(mtbr=0.0), desc) is \
         ResourceKind.MEMORY
+
+
+def test_optimal_nic_count_frees_its_oracles(bundle_cache, monkeypatch):
+    """No reference cycle keeps the search's oracles, and their memos,
+    alive after it returns."""
+    oracles = []
+
+    class RecordedOracle(apps._Oracle):
+        def __init__(self):
+            super().__init__()
+            oracles.append(weakref.ref(self))
+
+    monkeypatch.setattr(apps, "_Oracle", RecordedOracle)
+    arrivals = [light_instance(bundle_cache, i) for i in range(3)]
+    gc.disable()
+    try:
+        optimal_nic_count(arrivals)
+        assert oracles and all(ref() is None for ref in oracles)
+    finally:
+        gc.enable()

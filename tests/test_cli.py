@@ -66,6 +66,50 @@ def test_simulate_rejects_nic_settings(tmp_path, capsys):
     assert not (tmp_path / "sim.json").exists()
 
 
+def _invalid_input_message(capsys) -> str:
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "invalid-input"
+    return err["message"]
+
+
+@pytest.mark.parametrize("missing", ["spec", "traffic"])
+def test_simulate_rejects_nf_entry_without_key(tmp_path, capsys, missing):
+    doc = read_json(SCENARIO)
+    del doc["nfs"][0][missing]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["simulate", "--scenario", str(scenario),
+               "--out", str(tmp_path / "sim.json")])
+    assert rc == 2
+    message = _invalid_input_message(capsys)
+    assert "ContentionScenario" in message and repr(missing) in message
+
+
+def test_simulate_rejects_nf_entry_not_an_object(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"nfs": ["flowmonitor"]}))
+    rc = main(["simulate", "--scenario", str(scenario),
+               "--out", str(tmp_path / "sim.json")])
+    assert rc == 2
+    assert "ContentionScenario" in _invalid_input_message(capsys)
+
+
+@pytest.mark.parametrize("missing", ["bundle", "traffic", "max_drop_ratio"])
+def test_schedule_eval_rejects_resident_without_key(tmp_path, capsys, missing):
+    resident = {"instance_id": "fm-0", "bundle": {},
+                "traffic": {"flow_count": 1000, "packet_size": 1500, "mtbr": 100},
+                "max_drop_ratio": 0.5}
+    del resident[missing]
+    fleet = tmp_path / "fleet.json"
+    fleet.write_text(json.dumps(
+        {"schema": "fleet", "nics": [{"nic_id": 0, "residents": [resident]}]}))
+    rc = main(["schedule-eval", "--fleet", str(fleet),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 2
+    message = _invalid_input_message(capsys)
+    assert "NfInstance" in message and repr(missing) in message
+
+
 def test_profile_train_predict_workflow(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

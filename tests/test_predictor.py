@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import default_config
 from nicperf.accel_model import AccelModelParams
 from nicperf.apps import diagnose
 from nicperf.catalog import SimulatorRunner, get_nf
@@ -20,6 +23,7 @@ from nicperf.predictor import (
     ContentionDescriptor,
     ExtrapolationError,
     NfPredictor,
+    build,
 )
 
 REGEX_BENCH = AccelModelParams(queue_count=1, t0=10e-6, a=0.0,
@@ -180,3 +184,19 @@ def test_prediction_bounded_for_any_valid_descriptor(bundle_cache, nf, traffic,
     if len(p.resources) > 1:
         rates = res.stage_rates
         assert diagnose(p, traffic, desc) is min(rates, key=lambda k: (rates[k], k.value))
+
+
+def test_build_frees_its_runner():
+    """No reference cycle made during a build keeps the runner, and its
+    memo of every co-run, alive after the build returns."""
+    from conftest import default_config
+
+    runner = SimulatorRunner(get_nf("flowmonitor"))
+    ref = weakref.ref(runner)
+    gc.disable()
+    try:
+        build("flowmonitor", default_config(quota=40), runner)
+        del runner
+        assert ref() is None
+    finally:
+        gc.enable()

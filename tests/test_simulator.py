@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nicperf import simulator
+from nicperf.catalog import CATALOG
 from nicperf.core import (
     DEFAULT_TRAFFIC,
     ExecutionPattern,
@@ -345,3 +348,86 @@ def test_mem_params_validation(field, bad):
     doc = ContentionScenario(nfs=((_mem_nf(), DEFAULT_TRAFFIC),)).to_dict()
     with pytest.raises(InvalidInputError, match="mem_params"):
         ContentionScenario.from_dict({**doc, "mem_params": {field: bad}})
+
+
+# --------------------------------------------------------------------------
+# Round-robin memo
+# --------------------------------------------------------------------------
+
+def _counting_rr(monkeypatch, fail_first=False):
+    """Wraps simulate_accelerator_rr; the returned list holds the input of
+    every run it simulated."""
+    calls = []
+
+    def wrapper(specs, horizon):
+        calls.append(specs)
+        if fail_first and len(calls) == 1:
+            raise ConvergenceError("injected")
+        return simulate_accelerator_rr(specs, horizon)
+
+    monkeypatch.setattr(simulator, "simulate_accelerator_rr", wrapper)
+    return calls
+
+
+def _scenario_outcome(scenario):
+    try:
+        return run_scenario(scenario).to_dict()
+    except ConvergenceError:
+        return ConvergenceError
+
+
+# A co-located NF: a catalog NF at random traffic, or a benchmark NF.
+_TRAFFIC = st.one_of(
+    st.just(DEFAULT_TRAFFIC),
+    st.builds(TrafficProfile, st.floats(1.0, 500_000.0), st.floats(64.0, 1500.0),
+              st.floats(0.0, 1100.0)),
+)
+_LEVEL = st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)
+_SCENARIO_NF = st.one_of(
+    st.tuples(st.sampled_from(sorted(CATALOG)).map(CATALOG.get), _TRAFFIC),
+    st.tuples(st.builds(make_benchmark_nf,
+                        st.sampled_from([ResourceKind.REGEX_ACCEL,
+                                         ResourceKind.COMPRESSION_ACCEL]),
+                        _LEVEL, queue_count=st.integers(1, 3)),
+              st.just(DEFAULT_TRAFFIC)),
+    st.tuples(st.builds(make_benchmark_nf, st.just(ResourceKind.MEMORY),
+                        st.tuples(_LEVEL, _LEVEL)),
+              st.just(DEFAULT_TRAFFIC)),
+)
+_SCENARIO = st.lists(_SCENARIO_NF, min_size=1, max_size=4).map(
+    lambda nfs: ContentionScenario(nfs=tuple(
+        (dataclasses.replace(spec, name=f"nf{i}"), traffic)
+        for i, (spec, traffic) in enumerate(nfs))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario=_SCENARIO)
+def test_rr_memo_simulates_each_input_once_per_call(scenario):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _counting_rr(monkeypatch)
+        first = _scenario_outcome(scenario)
+        first_calls = list(calls)
+        calls.clear()
+        second = _scenario_outcome(scenario)
+    # Within a call no input is simulated twice; nothing is kept across
+    # calls, so a repeated call simulates the same inputs again and
+    # returns the same result.
+    assert len(set(first_calls)) == len(first_calls)
+    assert calls == first_calls
+    assert second == first
+
+
+def test_rr_memo_does_not_keep_convergence_errors(monkeypatch):
+    # Memory contention makes the fixed point iterate about ten times.
+    scenario = ContentionScenario(nfs=(
+        (CATALOG["flowmonitor"], DEFAULT_TRAFFIC),
+        (make_benchmark_nf(ResourceKind.MEMORY, (1.0, 1.0)), DEFAULT_TRAFFIC),
+    ))
+    expect = run_scenario(scenario).to_dict()
+    calls = _counting_rr(monkeypatch, fail_first=True)
+    with pytest.raises(ConvergenceError):
+        run_scenario(scenario)
+    assert run_scenario(scenario).to_dict() == expect
+    # The NF is alone and backlogged on its one accelerator, so every
+    # iteration meets the same input: simulated once per call.
+    assert calls == [calls[0], calls[0]]
