@@ -9,6 +9,12 @@ since tree splits are scale-invariant.
 Implemented in-repo so that training is bit-deterministic and the model
 file round-trips exactly.
 
+``train`` grows each tree in wire form: a dict of five parallel lists
+(``_TREE_KEYS``), one entry per node in pre-order.  Internal node i splits
+on ``feature[i]`` at ``threshold[i]`` and ``left[i]``/``right[i]`` are its
+children; a leaf has feature -1, children -1 and its output in
+``value[i]``.
+
 In memory the ensemble exists only in compiled form: flat node arrays
 holding every tree back to back, the layout QuickScorer (Lucchese et al.,
 SIGIR 2015) walks.  Tree t starts at node ``roots[t]``; node i holds
@@ -16,25 +22,23 @@ SIGIR 2015) walks.  Tree t starts at node ``roots[t]``; node i holds
 ``children[i] = (left, right)`` as node indices, and a leaf's children are
 the leaf itself.  A row steps to ``children[i, 0]`` when
 ``x[feature[i]] <= threshold[i]`` and to ``children[i, 1]`` otherwise, so
-NaN goes right.  ``depth`` is the depth of the deepest tree: walking every
-tree at once for exactly that many steps leaves each row at its leaf in
-every tree, since a leaf reached early steps onto itself.
+NaN goes right.  ``depth`` is the depth of the deepest tree: ``predict``
+walks every tree at once for exactly that many steps, which leaves the row
+at its leaf in every tree, since a leaf reached early steps onto itself.
 
 A prediction is ``base + lr*v_1 + ... + lr*v_T`` for the leaf values v_t
 of trees 1..T, added left to right: the last element of a sequential
 ``np.cumsum`` over ``[base, lr*v_1, ..., lr*v_T]``.  This is bit-identical
 to adding one tree's scaled output at a time to a running total, which is
 how the ensemble was fitted; ``np.sum`` adds pairwise and would not be.
-
-``_Tree`` (a list per field) is the form a tree is grown in and the wire
-form; ``to_dict`` rebuilds it from the arrays, so model bytes round-trip.
+``GbrModel.to_dict`` rebuilds the wire trees from the arrays, so model
+bytes round-trip.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -82,6 +86,14 @@ def feature_vector(counters: CounterSnapshot, traffic: TrafficProfile) -> np.nda
 
 @dataclass(frozen=True)
 class GbrHyperParams(Codec):
+    """The training constants, recorded as ``hyper`` in every model.
+
+    ``train`` always uses these defaults, and ``predict`` reads
+    ``learning_rate`` from the record a model carries.  Every row is
+    fitted in every tree, so ``subsample`` is 1.0 and ``seed`` draws
+    nothing; both stay in the record because every model file has them.
+    """
+
     n_trees: int = 200
     max_depth: int = 4
     learning_rate: float = 0.1
@@ -90,40 +102,15 @@ class GbrHyperParams(Codec):
     seed: int = 0
 
 
-@dataclass
-class _Tree:
-    """Wire and training form of one binary regression tree.
-
-    Internal node i splits on feature[i] at threshold[i]; left/right hold
-    child indices.  A leaf has feature -1, left and right -1, and its
-    prediction in value.
-    """
-
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-
-    def add_leaf(self, val: float) -> int:
-        return self._add(-1, 0.0, -1, -1, val)
-
-    def add_split(self, feat: int, thr: float) -> int:
-        return self._add(feat, thr, -1, -1, 0.0)
-
-    def _add(self, feat: int, thr: float, lo: int, hi: int, val: float) -> int:
-        self.feature.append(feat)
-        self.threshold.append(thr)
-        self.left.append(lo)
-        self.right.append(hi)
-        self.value.append(val)
-        return len(self.feature) - 1
-
-
 def _best_split(
     x: np.ndarray, residual: np.ndarray, min_leaf: int
 ) -> tuple[int, float, np.ndarray] | None:
-    """Histogram split search: best (feature, threshold, left mask) by SSE gain."""
+    """Best (feature, threshold, left mask) by SSE gain.
+
+    An exact search over the midpoints between the node's distinct values
+    of each feature, or over at most MAX_BINS - 1 quantile cut points when
+    a feature has more than MAX_BINS distinct values.
+    """
     n, n_feat = x.shape
     total_sum = residual.sum()
     base = total_sum**2 / n
@@ -163,42 +150,43 @@ def _best_split(
     return f, thr, x[:, f] <= thr
 
 
-def _fit_tree(
-    x: np.ndarray, residual: np.ndarray, fit: np.ndarray, max_depth: int,
-    min_leaf: int,
-) -> tuple[_Tree, np.ndarray]:
-    """Grows one tree on the rows ``fit`` of x.
-
-    Also returns the value of the leaf every row of x reaches: rows are
-    routed down each split as a walk would (left when x <= threshold).
-    """
-    tree = _Tree()
-    reached = np.empty(len(x))
-
-    def leaf(res: np.ndarray, routed: np.ndarray) -> int:
-        val = float(res.mean())
-        reached[routed] = val
-        return tree.add_leaf(val)
-
-    def grow(rows: np.ndarray, routed: np.ndarray, depth: int) -> int:
-        res = residual[rows]
-        if depth >= max_depth or len(rows) < 2 * min_leaf:
-            return leaf(res, routed)
-        split = _best_split(x[rows], res, min_leaf)
-        if split is None:
-            return leaf(res, routed)
-        f, thr, left_mask = split
-        node = tree.add_split(f, thr)
-        goes_left = x[routed, f] <= thr
-        tree.left[node] = grow(rows[left_mask], routed[goes_left], depth + 1)
-        tree.right[node] = grow(rows[~left_mask], routed[~goes_left], depth + 1)
-        return node
-
-    grow(fit, np.arange(len(x)), 0)
-    return tree, reached
-
-
 _TREE_KEYS = ("feature", "threshold", "left", "right", "value")
+
+
+def _fit_tree(
+    x: np.ndarray, residual: np.ndarray, max_depth: int, min_leaf: int,
+) -> tuple[dict, np.ndarray]:
+    """Grows one wire-form tree on every row of x.
+
+    Also returns the value of the leaf each row reaches.  The stack pops a
+    node's left subtree before its right one, so nodes are numbered in
+    pre-order.
+    """
+    tree = {k: [] for k in _TREE_KEYS}
+    reached = np.empty(len(x))
+    # (rows, depth, (parent, "left" or "right"), or None for the root)
+    stack = [(np.arange(len(x)), 0, None)]
+    while stack:
+        rows, depth, edge = stack.pop()
+        node = len(tree["feature"])
+        if edge is not None:
+            parent, side = edge
+            tree[side][parent] = node
+        res = residual[rows]
+        split = None
+        if depth < max_depth and len(rows) >= 2 * min_leaf:
+            split = _best_split(x[rows], res, min_leaf)
+        if split is None:
+            feat, thr, val = -1, 0.0, float(res.mean())
+            reached[rows] = val
+        else:
+            feat, thr, left_mask = split
+            val = 0.0
+            stack.append((rows[~left_mask], depth + 1, (node, "right")))
+            stack.append((rows[left_mask], depth + 1, (node, "left")))
+        for key, v in zip(_TREE_KEYS, (feat, thr, -1, -1, val)):
+            tree[key].append(v)
+    return tree, reached
 
 
 def _compile(trees: list, n_features: int) -> tuple:
@@ -273,40 +261,11 @@ class GbrModel:
     ``trees`` are wire-form tree dicts, compiled on construction.
     """
 
-    def __init__(self, base_score: float, trees: list, hyper: GbrHyperParams,
-                 feature_names: tuple[str, ...] = FEATURE_NAMES):
+    def __init__(self, base_score: float, trees: list, hyper: GbrHyperParams):
         self.base_score = base_score
         self.hyper = hyper
-        self.feature_names = feature_names
         (self.feature, self.threshold, self.value, self.children, self.roots,
-         self.depth) = _compile(trees, len(feature_names))
-
-    def _leaves(self, x: np.ndarray) -> np.ndarray:
-        """Leaf index each row of ``x`` reaches in each tree: (rows, trees)."""
-        child = self.children.ravel()
-        if len(x) == 1:
-            row = x[0]
-            idx = self.roots
-            for _ in range(self.depth):
-                idx = child[2 * idx + ~(row[self.feature[idx]] <= self.threshold[idx])]
-            return idx[None, :]
-        rows = np.arange(len(x))[:, None]
-        idx = np.broadcast_to(self.roots, (len(x), len(self.roots)))
-        for _ in range(self.depth):
-            idx = child[2 * idx + ~(x[rows, self.feature[idx]] <= self.threshold[idx])]
-        return idx
-
-    def predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != len(self.feature_names):
-            raise InvalidInputError(
-                f"expected {len(self.feature_names)} features, got {x.shape[1]}"
-            )
-        terms = np.empty((len(x), len(self.roots) + 1))
-        terms[:, 0] = self.base_score
-        np.multiply(self.hyper.learning_rate, self.value[self._leaves(x)],
-                    out=terms[:, 1:])
-        return np.maximum(np.cumsum(terms, axis=1)[:, -1], 0.0)
+         self.depth) = _compile(trees, len(FEATURE_NAMES))
 
     def to_dict(self) -> dict:
         n = len(self.feature)
@@ -320,7 +279,7 @@ class GbrModel:
         return {
             "schema": "gbr-model",
             "schema_version": SCHEMA_VERSION,
-            "feature_order": list(self.feature_names),
+            "feature_order": list(FEATURE_NAMES),
             "base_score": self.base_score,
             "hyper": self.hyper.to_dict(),
             "trees": [{k: col[a:b] for k, col in cols.items()}
@@ -329,31 +288,30 @@ class GbrModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GbrModel":
-        if doc.get("schema") != "gbr-model":
+        if not isinstance(doc, dict) or doc.get("schema") != "gbr-model":
             raise InvalidInputError("not a gbr-model file")
+        for key in ("base_score", "trees", "hyper", "feature_order"):
+            if key not in doc:
+                raise InvalidInputError(f"GbrModel: missing key {key!r}")
+        # feature_vector always builds FEATURE_NAMES order; a model fitted
+        # on another order would silently misread every feature.
+        if doc["feature_order"] != list(FEATURE_NAMES):
+            raise InvalidInputError(
+                f"GbrModel: feature_order must be {list(FEATURE_NAMES)}, "
+                f"got {doc['feature_order']!r}"
+            )
         return cls(
             base_score=float(doc["base_score"]),
             trees=doc["trees"],
             hyper=GbrHyperParams.from_dict(doc["hyper"]),
-            feature_names=tuple(doc["feature_order"]),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "GbrModel":
-        return cls.from_dict(json.loads(text))
+def train(samples: list[ThroughputSample]) -> GbrModel:
+    """Fit the boosted ensemble to observed throughput with ``GbrHyperParams()``.
 
-
-def train(
-    samples: list[ThroughputSample],
-    hyper: GbrHyperParams = GbrHyperParams(),
-) -> GbrModel:
-    """Fit the boosted ensemble to observed throughput.
-
-    Deterministic given the samples, hyperparameters, and seed.  A
-    constant-target dataset yields a constant model with a warning.
+    Deterministic given the samples.  A constant-target dataset yields a
+    constant model with a warning.
     """
     if len(samples) < 30:
         raise InvalidInputError(f"need at least 30 samples, got {len(samples)}")
@@ -362,34 +320,33 @@ def train(
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise InvalidInputError("features and targets must be finite")
 
+    hyper = GbrHyperParams()
     base = float(y.mean())
     if np.ptp(y) == 0.0:
         warnings.warn("constant training target; model is constant", DegenerateDataWarning)
         return GbrModel(base_score=base, trees=[], hyper=hyper)
 
-    rng = np.random.default_rng(hyper.seed)
     current = np.full(len(y), base)
     trees: list[dict] = []
     for _ in range(hyper.n_trees):
-        residual = y - current
-        fit = np.arange(len(y))
-        if hyper.subsample < 1.0:
-            rows = rng.random(len(y)) < hyper.subsample
-            if rows.sum() >= 2 * hyper.min_samples_leaf:
-                fit = np.flatnonzero(rows)
-        tree, reached = _fit_tree(
-            x, residual, fit, hyper.max_depth, hyper.min_samples_leaf
-        )
+        tree, reached = _fit_tree(x, y - current, hyper.max_depth, hyper.min_samples_leaf)
         current = current + hyper.learning_rate * reached
-        trees.append(vars(tree))
+        trees.append(tree)
     return GbrModel(base_score=base, trees=trees, hyper=hyper)
 
 
 def predict(model: GbrModel, features: np.ndarray) -> float:
     """Deterministic single-row prediction, clamped below at 0."""
-    arr = np.asarray(features, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != len(model.feature_names):
+    row = np.asarray(features, dtype=float)
+    if row.shape != (len(FEATURE_NAMES),):
         raise InvalidInputError(
-            f"expected a {len(model.feature_names)}-vector, got shape {arr.shape}"
+            f"expected a {len(FEATURE_NAMES)}-vector, got shape {row.shape}"
         )
-    return float(model.predict_matrix(arr)[0])
+    child = model.children.ravel()
+    idx = model.roots
+    for _ in range(model.depth):
+        idx = child[2 * idx + ~(row[model.feature[idx]] <= model.threshold[idx])]
+    terms = np.empty(len(idx) + 1)
+    terms[0] = model.base_score
+    np.multiply(model.hyper.learning_rate, model.value[idx], out=terms[1:])
+    return float(np.maximum(np.cumsum(terms)[-1], 0.0))

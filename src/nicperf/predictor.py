@@ -81,6 +81,20 @@ class ExtrapolationError(RuntimeError):
     """Requested traffic lies outside the profiled attribute box."""
 
 
+def _field(doc, key: str, where: str):
+    """``doc[key]`` of a bundle part; InvalidInputError naming ``where``
+    and the key when ``doc`` is not an object or lacks the key."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{where}: expected an object, got {doc!r}")
+    if key not in doc:
+        raise InvalidInputError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
+def _curve(doc, where: str) -> tuple[list, list]:
+    return _field(doc, "x", where), _field(doc, "y", where)
+
+
 @dataclasses.dataclass(frozen=True)
 class ContentionDescriptor:
     """Competitor contention as seen by one target NF.
@@ -198,10 +212,12 @@ class _SoloTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "_SoloTable":
+        where = "NfPredictor.solo_table"
         return cls(
-            base_rate=d["base_rate"],
-            axes={k: (v["x"], v["y"]) for k, v in d["axes"].items()},
-            bounds={k: (v[0], v[1]) for k, v in d["bounds"].items()},
+            base_rate=_field(d, "base_rate", where),
+            axes={k: _curve(v, f"{where}.axes.{k}")
+                  for k, v in _field(d, "axes", where).items()},
+            bounds={k: (v[0], v[1]) for k, v in _field(d, "bounds", where).items()},
         )
 
 
@@ -263,10 +279,11 @@ class _Footprint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "_Footprint":
+        where = "NfPredictor.footprint"
+        rates = [_field(d, k, where) for k in ("car_per_pkt", "irt_per_pkt", "mem_frac")]
         mc = d.get("miss_curve")
-        return cls(d["car_per_pkt"], d["irt_per_pkt"], d["mem_frac"],
-                   (d["wss_axis"]["x"], d["wss_axis"]["y"]),
-                   None if mc is None else (mc["x"], mc["y"]))
+        return cls(*rates, _curve(_field(d, "wss_axis", where), f"{where}.wss_axis"),
+                   None if mc is None else _curve(mc, f"{where}.miss_curve"))
 
 
 @dataclasses.dataclass
@@ -385,19 +402,34 @@ class NfPredictor:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NfPredictor":
-        if doc.get("schema") != BUNDLE_SCHEMA:
+        if not isinstance(doc, dict) or doc.get("schema") != BUNDLE_SCHEMA:
             raise InvalidInputError("not a predictor bundle file")
+        where = "NfPredictor"
+        pattern = _field(doc, "pattern", where)
+        try:
+            pattern = ExecutionPattern(pattern)
+        except ValueError:
+            raise InvalidInputError(
+                f"{where}: unknown pattern {pattern!r}, expected one of "
+                f"{[p.value for p in ExecutionPattern]}"
+            ) from None
+        accels = {k.value: k for k in ACCEL_ATTRIBUTE}
+        accel_models = {}
+        for k, v in doc.get("accel_models", {}).items():
+            if k not in accels:
+                raise InvalidInputError(
+                    f"{where}.accel_models: unknown resource {k!r}, "
+                    f"expected one of {sorted(accels)}"
+                )
+            accel_models[accels[k]] = AccelModelParams.from_dict(v)
         mem = doc.get("mem_model")
         return cls(
-            nf_name=doc["nf"],
-            pattern=ExecutionPattern(doc["pattern"]),
-            solo_table=_SoloTable.from_dict(doc["solo_table"]),
+            nf_name=_field(doc, "nf", where),
+            pattern=pattern,
+            solo_table=_SoloTable.from_dict(_field(doc, "solo_table", where)),
             mem_model=None if mem is None else GbrModel.from_dict(mem),
-            accel_models={
-                ResourceKind(k): AccelModelParams.from_dict(v)
-                for k, v in doc.get("accel_models", {}).items()
-            },
-            footprint=_Footprint.from_dict(doc["footprint"]),
+            accel_models=accel_models,
+            footprint=_Footprint.from_dict(_field(doc, "footprint", where)),
             metadata=doc.get("metadata", {}),
         )
 

@@ -41,7 +41,7 @@ from nicperf.core import (
     band_accuracy,
     mape,
 )
-from nicperf.mem_model import feature_vector, train
+from nicperf.mem_model import feature_vector, predict, train
 from nicperf.predictor import ContentionDescriptor, NfPredictor, build
 from nicperf.profiler import (
     ProfilingConfig,
@@ -269,7 +269,7 @@ def _holdout_mape(model, runner, points):
     for traffic, levels in points:
         row = runner.sample("holdout", traffic, levels)
         feats = feature_vector(_combined_wss(runner, row), traffic)
-        preds.append(float(model.predict_matrix(feats)[0]))
+        preds.append(predict(model, feats))
         actuals.append(row.observed_throughput)
     return mape(preds, actuals)
 

@@ -286,6 +286,21 @@ def test_out_of_domain_prediction(flowmonitor_bundle, tmp_path, capsys):
     assert err["error"]["type"] == "out-of-domain"
 
 
+def test_predict_rejects_bundle_without_footprint(flowmonitor_bundle, tmp_path, capsys):
+    doc = read_json(flowmonitor_bundle)
+    del doc["footprint"]
+    bundle = tmp_path / "no-footprint.bundle.json"
+    bundle.write_text(json.dumps(doc))
+    traffic = tmp_path / "traffic.json"
+    traffic.write_text(json.dumps({"flow_count": 16000, "packet_size": 1500, "mtbr": 600}))
+    contention = tmp_path / "contention.json"
+    contention.write_text(json.dumps({"accel": {"regex_accel": []}}))
+    rc = main(["predict", "--bundle", str(bundle), "--traffic", str(traffic),
+               "--contention", str(contention)])
+    assert rc == 2
+    assert "'footprint'" in _invalid_input_message(capsys)
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

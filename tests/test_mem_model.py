@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -69,18 +70,31 @@ def test_train_learns_piecewise_surface():
     assert float(np.mean(errs)) < 0.03
 
 
+def _to_json(model):
+    return json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
 def test_train_deterministic():
     rows = _synthetic_rows(n=80)
-    m1 = train(rows, GbrHyperParams(n_trees=40, subsample=0.8, seed=5))
-    m2 = train(rows, GbrHyperParams(n_trees=40, subsample=0.8, seed=5))
-    assert m1.to_json() == m2.to_json()
+    assert _to_json(train(rows)) == _to_json(train(rows))
+
+
+def test_train_leaves_no_cyclic_garbage():
+    rows = _synthetic_rows(n=40)
+    gc.collect()
+    gc.disable()
+    try:
+        train(rows)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_model_json_roundtrip_byte_identical():
-    model = train(_synthetic_rows(n=60), GbrHyperParams(n_trees=25))
-    text = model.to_json()
-    again = GbrModel.from_json(text)
-    assert again.to_json() == text
+    model = train(_synthetic_rows(n=60))
+    text = _to_json(model)
+    again = GbrModel.from_dict(json.loads(text))
+    assert _to_json(again) == text
     x = feature_vector(CounterSnapshot(wss=5e6, l2crd=6e7, l2cwr=4e7),
                        TrafficProfile())
     assert predict(again, x) == predict(model, x)
@@ -102,9 +116,10 @@ def test_train_requires_30_samples():
 
 
 def test_predict_rejects_wrong_shape():
-    model = train(_synthetic_rows(n=40), GbrHyperParams(n_trees=5))
-    with pytest.raises(InvalidInputError):
-        predict(model, np.zeros(9))
+    model = GbrModel(5e5, [], GbrHyperParams())
+    for shape in [(9,), (11,), (1, 10), ()]:
+        with pytest.raises(InvalidInputError):
+            predict(model, np.zeros(shape))
 
 
 def test_prediction_clamped_at_zero():
@@ -192,28 +207,28 @@ def _model_and_rows(draw):
     return doc, np.array(rows, dtype=float)
 
 
+def _predictions(model, x) -> np.ndarray:
+    return np.array([predict(model, row) for row in x])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_model_and_rows())
 def test_compiled_walk_matches_reference_bit_for_bit(case):
     doc, x = case
     model = GbrModel.from_dict(doc)
-    want = _reference_predict(doc, x)
-    assert model.predict_matrix(x).tobytes() == want.tobytes()
-    for row, w in zip(x, want):
-        assert model.predict_matrix(row).tobytes() == w.tobytes()
-        assert np.float64(predict(model, row)).tobytes() == w.tobytes()
+    assert _predictions(model, x).tobytes() == _reference_predict(doc, x).tobytes()
 
 
 def test_trained_model_matches_reference():
-    model = train(_synthetic_rows(n=80), GbrHyperParams(n_trees=30, subsample=0.8, seed=3))
+    model = train(_synthetic_rows(n=80))
     doc = model.to_dict()
     x = np.array([feature_vector(r.competitor_counters, r.traffic)
                   for r in _synthetic_rows(n=25, seed=7)])
-    assert model.predict_matrix(x).tobytes() == _reference_predict(doc, x).tobytes()
+    assert _predictions(model, x).tobytes() == _reference_predict(doc, x).tobytes()
 
 
 @pytest.mark.parametrize("model", [
-    train(_synthetic_rows(n=60), GbrHyperParams(n_trees=25)),
+    train(_synthetic_rows(n=60)),
     GbrModel(5e5, [], GbrHyperParams()),
 ], ids=["trained", "constant"])
 def test_dict_roundtrip_byte_identical(model):
@@ -233,8 +248,8 @@ def _one_tree_doc(**fields):
 
 def test_one_tree_doc_is_valid():
     model = GbrModel.from_dict(_one_tree_doc())
-    assert model.predict_matrix(np.array([[0.5] + [0.0] * 9, [np.nan] * 10])).tolist() \
-        == [0.1, pytest.approx(0.2)]
+    assert predict(model, np.array([0.5] + [0.0] * 9)) == 0.1
+    assert predict(model, np.full(10, np.nan)) == pytest.approx(0.2)
 
 
 @pytest.mark.parametrize("fields", [
@@ -258,4 +273,25 @@ def test_tree_missing_key_rejected():
     doc = _one_tree_doc()
     del doc["trees"][0]["right"]
     with pytest.raises(InvalidInputError):
+        GbrModel.from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["base_score", "trees", "hyper", "feature_order"])
+def test_model_missing_key_rejected(key):
+    doc = _one_tree_doc()
+    del doc[key]
+    with pytest.raises(InvalidInputError, match=f"missing key '{key}'"):
+        GbrModel.from_dict(doc)
+
+
+@pytest.mark.parametrize("order", [
+    list(reversed(FEATURE_NAMES)),
+    list(FEATURE_NAMES[:-1]),
+    [*FEATURE_NAMES, "extra"],
+    [],
+])
+def test_model_foreign_feature_order_rejected(order):
+    doc = _one_tree_doc()
+    doc["feature_order"] = order
+    with pytest.raises(InvalidInputError, match="feature_order"):
         GbrModel.from_dict(doc)

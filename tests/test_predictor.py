@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -106,6 +107,45 @@ def test_bundle_roundtrip_byte_identical(bundle_cache):
     res_a = p.predict(DEFAULT_TRAFFIC, no_contention(p))
     res_b = again.predict(DEFAULT_TRAFFIC, no_contention(again))
     assert res_a.throughput == res_b.throughput
+
+
+def _bundle_doc(bundle_cache) -> dict:
+    return json.loads(bundle_cache("flowmonitor", 200).to_json())
+
+
+@pytest.mark.parametrize("path", [
+    ("nf",), ("pattern",), ("solo_table",), ("footprint",),
+    ("solo_table", "base_rate"), ("solo_table", "axes"), ("solo_table", "bounds"),
+    ("solo_table", "axes", "flow_count", "x"),
+    ("footprint", "car_per_pkt"), ("footprint", "mem_frac"), ("footprint", "wss_axis"),
+    ("footprint", "wss_axis", "y"), ("footprint", "miss_curve", "x"),
+    ("mem_model", "trees"), ("accel_models", "regex_accel", "t0"),
+], ids="/".join)
+def test_bundle_missing_key_rejected(bundle_cache, path):
+    doc = _bundle_doc(bundle_cache)
+    *parents, key = path
+    part = doc
+    for name in parents:
+        part = part[name]
+    del part[key]
+    with pytest.raises(InvalidInputError, match=f"missing key '{key}'"):
+        NfPredictor.from_dict(doc)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("pattern", "bogus", "unknown pattern 'bogus'"),
+    ("pattern", None, "unknown pattern None"),
+    ("accel_models", "memory", "unknown resource 'memory'"),
+    ("accel_models", "crypto_accel", "unknown resource 'crypto_accel'"),
+], ids=["pattern-bogus", "pattern-null", "accel-memory", "accel-unknown"])
+def test_bundle_unknown_value_rejected(bundle_cache, field, value, match):
+    doc = _bundle_doc(bundle_cache)
+    if field == "accel_models":
+        doc[field] = {value: doc[field]["regex_accel"]}
+    else:
+        doc[field] = value
+    with pytest.raises(InvalidInputError, match=match):
+        NfPredictor.from_dict(doc)
 
 
 def test_descriptor_roundtrip_with_saturating_rate():
