@@ -225,14 +225,12 @@ class SimulatorRunner:
         result = self._execute(traffic, {}, saturate=True)
         return result.per_nf_stage_throughput[self.spec.name][kind]
 
-    def accel_corun(
-        self, kind: ResourceKind, n_bench: int, t_bench: float,
-        traffic: TrafficProfile = DEFAULT_TRAFFIC,
-    ) -> float:
-        """Target's accelerator-stage equilibrium rate against a known bench."""
+    def accel_corun(self, kind: ResourceKind, n_bench: int, t_bench: float) -> float:
+        """Target's accelerator-stage equilibrium rate at default traffic
+        against a known bench."""
         bench = make_benchmark_nf(
             kind, 1.0, queue_count=n_bench, t0=t_bench,
             name=f"infer-bench-{kind.value}",
         )
-        result = self._execute(traffic, {}, saturate=True, extra=bench)
+        result = self._execute(DEFAULT_TRAFFIC, {}, saturate=True, extra=bench)
         return result.per_nf_stage_throughput[self.spec.name][kind]

@@ -95,38 +95,40 @@ class PatternReport:
 #: the target's measured end-to-end throughput.
 ProbeRunner = Callable[[Mapping[ResourceKind, float]], float]
 
+#: Contention levels probed per resource; two resources give a 9-point grid.
+PROBE_LEVELS = (0.35, 0.7, 1.0)
+
+#: Residual MAPEs closer than this many percentage points are ambiguous.
+AMBIGUITY_MARGIN = 1.0
+
 
 def detect_pattern(
     runner: ProbeRunner,
     resources: Sequence[ResourceKind],
-    levels: Sequence[float] = (0.35, 0.7, 1.0),
-    ambiguity_margin: float = 1.0,
 ) -> PatternReport:
     """Decide the execution pattern of an opaque NF by curve fitting.
 
-    Measures end-to-end throughput on the cartesian grid of contention
-    levels over the given resources, derives per-resource drops from
+    Measures end-to-end throughput on the cartesian grid of PROBE_LEVELS
+    over the given resources, derives per-resource drops from
     single-resource probe runs, and returns the pattern whose composition
     formula has the lower residual MAPE.  Residuals within
-    ``ambiguity_margin`` percentage points of each other (always the case
-    for a single resource, where the formulas coincide) raise
+    AMBIGUITY_MARGIN percentage points of each other (always the case for
+    a single resource, where the formulas coincide) raise
     AmbiguousPatternError.
     """
-    if len(levels) ** len(resources) < 9 and len(resources) >= 2:
-        raise InvalidInputError("need a grid of at least 9 contention points")
     t_solo = runner({})
     # Per-resource drops at each probed level.
     drop_at: dict[ResourceKind, dict[float, float]] = {}
     for kind in resources:
         drop_at[kind] = {
-            lvl: max(0.0, t_solo - runner({kind: lvl})) for lvl in levels
+            lvl: max(0.0, t_solo - runner({kind: lvl})) for lvl in PROBE_LEVELS
         }
 
     measured: list[float] = []
     pred_pipe: list[float] = []
     pred_rtc: list[float] = []
 
-    for combo in itertools.product(levels, repeat=len(resources)):
+    for combo in itertools.product(PROBE_LEVELS, repeat=len(resources)):
         assignment = dict(zip(resources, combo))
         drops = {k: min(drop_at[k][v], t_solo * 0.999) for k, v in assignment.items()}
         d = PerResourceDrops(t_solo, drops)
@@ -135,7 +137,7 @@ def detect_pattern(
         pred_rtc.append(compose_rtc(d))
     m_pipe = mape(pred_pipe, measured)
     m_rtc = mape(pred_rtc, measured)
-    if abs(m_pipe - m_rtc) < ambiguity_margin:
+    if abs(m_pipe - m_rtc) < AMBIGUITY_MARGIN:
         raise AmbiguousPatternError(m_pipe, m_rtc)
     pattern = (
         ExecutionPattern.PIPELINE if m_pipe < m_rtc else ExecutionPattern.RUN_TO_COMPLETION

@@ -49,7 +49,13 @@ def _float_out(v: float):
 
 def _bool_in(v) -> bool:
     if not isinstance(v, bool):
-        raise InvalidInputError(f"expected true or false, got {v!r}")
+        raise TypeError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _list_in(v) -> list:
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list, got {v!r}")
     return v
 
 
@@ -77,19 +83,19 @@ def _converters(hint) -> tuple[Callable, Callable]:
                 (lambda v: None if v is None else enc(v)))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         dec, enc = _converters(args[0])
-        return (lambda v: tuple([dec(e) for e in v])), (lambda v: [enc(e) for e in v])
+        return (lambda v: tuple([dec(e) for e in _list_in(v)])), (lambda v: [enc(e) for e in v])
     if origin is tuple:
         pairs = [_converters(a) for a in args]
 
         def dec_fixed(v):
-            if len(v) != len(pairs):
-                raise InvalidInputError(f"expected {len(pairs)} items, got {len(v)}")
+            if len(_list_in(v)) != len(pairs):
+                raise ValueError(f"expected {len(pairs)} items, got {len(v)}")
             return tuple([d(e) for (d, _), e in zip(pairs, v)])
 
         return dec_fixed, lambda v: [enc(e) for (_, enc), e in zip(pairs, v)]
     if origin is list:
         dec, enc = _converters(args[0])
-        return (lambda v: [dec(e) for e in v]), (lambda v: [enc(e) for e in v])
+        return (lambda v: [dec(e) for e in _list_in(v)]), (lambda v: [enc(e) for e in v])
     if origin in (dict, Mapping):
         (kdec, kenc), (vdec, venc) = _converters(args[0]), _converters(args[1])
         return ((lambda v: {kdec(k): vdec(e) for k, e in v.items()}),
@@ -113,10 +119,11 @@ class Codec:
 
     Output: enums (values and dict keys) as their ``.value``, nested
     dataclasses as dicts, tuples as lists, ``math.inf`` as ``"saturating"``.
-    Input is coerced by each field's type hint.  A missing key takes the
-    field's default; unknown keys are ignored, so rows written with fields
-    since removed still load.  A bad or missing value raises
-    InvalidInputError naming the class and the key.
+    Input is coerced by each field's type hint; a list or tuple field
+    takes only a JSON list.  A missing key takes the field's default;
+    unknown keys are ignored, so rows written with fields since removed
+    still load.  A bad or missing value raises InvalidInputError naming
+    the class and the key.
     """
 
     def to_dict(self) -> dict:

@@ -42,7 +42,7 @@ from .core import (
     ZERO_COUNTERS,
 )
 from .mem_model import GbrHyperParams, GbrModel
-from .profiler import ProfilingConfig, adaptive_profile, _make_traffic
+from .profiler import ProfilingConfig, adaptive_profile, _make_traffic, _resolve_eps
 
 __all__ = [
     "ACCEL_ATTRIBUTE",
@@ -81,18 +81,23 @@ class ExtrapolationError(RuntimeError):
     """Requested traffic lies outside the profiled attribute box."""
 
 
-def _field(doc, key: str, where: str):
-    """``doc[key]`` of a bundle part; InvalidInputError naming ``where``
-    and the key when ``doc`` is not an object or lacks the key."""
-    if not isinstance(doc, dict):
-        raise InvalidInputError(f"{where}: expected an object, got {doc!r}")
-    if key not in doc:
-        raise InvalidInputError(f"{where}: missing key {key!r}")
-    return doc[key]
+@dataclasses.dataclass(frozen=True)
+class _Competitor(Codec):
+    """Wire form of one accelerator competitor in a ContentionDescriptor;
+    an absent offered rate means always backlogged."""
+
+    params: AccelModelParams
+    attr_value: float
+    offered_rate: float = math.inf
 
 
-def _curve(doc, where: str) -> tuple[list, list]:
-    return _field(doc, "x", where), _field(doc, "y", where)
+@dataclasses.dataclass(frozen=True)
+class _ContentionWire(Codec):
+    """Wire form of a ContentionDescriptor."""
+
+    counters: CounterSnapshot = ZERO_COUNTERS
+    accel: dict[ResourceKind, tuple[_Competitor, ...]] = dataclasses.field(
+        default_factory=dict)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,38 +133,16 @@ class ContentionDescriptor:
         object.__setattr__(self, "accel", norm)
 
     def to_dict(self) -> dict:
-        return {
-            "counters": self.counters.to_dict(),
-            "accel": {
-                kind.value: [
-                    {
-                        "params": p.to_dict(),
-                        "attr_value": attr,
-                        "offered_rate": "saturating" if math.isinf(rate) else rate,
-                    }
-                    for p, attr, rate in comps
-                ]
-                for kind, comps in self.accel.items()
-            },
-        }
+        accel = {kind: tuple(_Competitor(*c) for c in comps)
+                 for kind, comps in self.accel.items()}
+        return _ContentionWire(self.counters, accel).to_dict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "ContentionDescriptor":
-        accel = {}
-        for key, comps in d.get("accel", {}).items():
-            entries = []
-            for c in comps:
-                rate = c.get("offered_rate", "saturating")
-                rate = math.inf if rate == "saturating" else float(rate)
-                entries.append(
-                    (AccelModelParams.from_dict(c["params"]), float(c["attr_value"]), rate)
-                )
-            accel[ResourceKind(key)] = tuple(entries)
-        counters = d.get("counters")
-        return cls(
-            counters=CounterSnapshot.from_dict(counters) if counters else ZERO_COUNTERS,
-            accel=accel,
-        )
+        wire = _ContentionWire.from_dict(d)
+        accel = {kind: tuple((c.params, c.attr_value, c.offered_rate) for c in comps)
+                 for kind, comps in wire.accel.items()}
+        return cls(wire.counters, accel)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -171,21 +154,59 @@ class PredictionResult(Codec):
     saturated: bool = False
 
 
-class _SoloTable:
-    """Memory-path solo rate as a multiplicative per-axis interpolation.
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Curve(Codec):
+    """A piece-wise-linear curve through the points ``(x[i], y[i])``,
+    written ``{"x": [...], "y": [...]}``.
 
-    Each axis holds the rate measured while sweeping one attribute with
-    the others at their defaults; the joint rate is the base rate scaled
-    by each axis's relative effect.  Exact when the attribute effects are
-    multiplicatively separable, which piece-wise-linear cache behavior is.
+    Both are float arrays of one non-zero length, finite throughout, with
+    ``x`` ascending (ties allowed).  The curve indexes as its ``(x, y)``
+    pair.
     """
 
-    def __init__(self, base_rate: float, axes: dict[str, tuple[list, list]],
-                 bounds: dict[str, tuple[float, float]]):
-        self.base_rate = float(base_rate)
-        self.axes = {k: (np.array(xs, dtype=float), np.array(ys, dtype=float))
-                     for k, (xs, ys) in axes.items()}
-        self.bounds = {k: (float(lo), float(hi)) for k, (lo, hi) in bounds.items()}
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        xs = np.asarray(self.x, dtype=float)
+        ys = np.asarray(self.y, dtype=float)
+        if len(xs) != len(ys) or not len(xs):
+            raise InvalidInputError(
+                f"_Curve: x and y need equal non-zero lengths, got {len(xs)} and {len(ys)}")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise InvalidInputError("_Curve: x and y must be finite")
+        if (np.diff(xs) < 0).any():
+            raise InvalidInputError("_Curve: x must be ascending")
+        object.__setattr__(self, "x", xs)
+        object.__setattr__(self, "y", ys)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return (self.x, self.y)[i]
+
+    def at(self, v: float) -> float:
+        return float(np.interp(v, self.x, self.y))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _SoloTable(Codec):
+    """Memory-path solo rate as a multiplicative per-axis interpolation.
+
+    Each axis is the rate curve measured while sweeping one attribute
+    with the others at their defaults; the joint rate is the finite,
+    positive base rate scaled by each axis's relative effect.  Exact when
+    the attribute effects are multiplicatively separable, which
+    piece-wise-linear cache behavior is.  bounds holds each profiled
+    attribute's (min, max).
+    """
+
+    base_rate: float
+    axes: dict[str, _Curve]
+    bounds: dict[str, tuple[float, float]]
+
+    def __post_init__(self) -> None:
+        if not 0 < self.base_rate < math.inf:
+            raise InvalidInputError(
+                f"_SoloTable: base_rate must be finite and positive, got {self.base_rate}")
 
     def check_bounds(self, traffic: TrafficProfile) -> None:
         for name, (lo, hi) in self.bounds.items():
@@ -197,54 +218,31 @@ class _SoloTable:
 
     def rate(self, traffic: TrafficProfile) -> float:
         out = self.base_rate
-        for name, (xs, ys) in self.axes.items():
-            v = traffic.attribute(name)
-            out *= float(np.interp(v, xs, ys)) / self.base_rate
+        for name, curve in self.axes.items():
+            out *= curve.at(traffic.attribute(name)) / self.base_rate
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "base_rate": self.base_rate,
-            "axes": {k: {"x": xs.tolist(), "y": ys.tolist()}
-                     for k, (xs, ys) in self.axes.items()},
-            "bounds": {k: list(v) for k, v in self.bounds.items()},
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "_SoloTable":
-        where = "NfPredictor.solo_table"
-        return cls(
-            base_rate=_field(d, "base_rate", where),
-            axes={k: _curve(v, f"{where}.axes.{k}")
-                  for k, v in _field(d, "axes", where).items()},
-            bounds={k: (v[0], v[1]) for k, v in _field(d, "bounds", where).items()},
-        )
-
-
-class _Footprint:
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Footprint(Codec):
     """The NF's own observable counter emission, for placement checks.
 
     Rates scale with achieved throughput; the working set follows the
-    flow count (interpolated from solo sweeps).  Main-memory traffic per
-    cache reference grows with the combined working set of the NIC; the
-    curve is recovered from the profiled co-run rows, falling back to the
-    solo miss fraction when the rows gave none.
+    flow count (the ``wss_axis`` curve, interpolated from solo sweeps).
+    Main-memory traffic per cache reference grows with the combined
+    working set of the NIC: the ``miss_curve`` over that working set is
+    recovered from the profiled co-run rows, and is None, falling back to
+    the solo miss fraction ``mem_frac``, when the rows gave none.
     """
 
-    def __init__(self, car_per_pkt: float, irt_per_pkt: float,
-                 mem_frac: float, wss_axis: tuple[list, list],
-                 miss_curve: tuple[list, list] | None = None):
-        self.car_per_pkt = float(car_per_pkt)
-        self.irt_per_pkt = float(irt_per_pkt)
-        self.mem_frac = float(mem_frac)
-        self.wss_axis = (np.array(wss_axis[0], dtype=float),
-                         np.array(wss_axis[1], dtype=float))
-        self.miss_curve = None if miss_curve is None else (
-            np.array(miss_curve[0], dtype=float), np.array(miss_curve[1], dtype=float))
+    car_per_pkt: float
+    irt_per_pkt: float
+    mem_frac: float
+    wss_axis: _Curve
+    miss_curve: _Curve | None = None
 
     def wss(self, traffic: TrafficProfile) -> float:
-        xs, ys = self.wss_axis
-        return float(np.interp(traffic.flow_count, xs, ys))
+        return self.wss_axis.at(traffic.flow_count)
 
     def counters(self, wss: float, throughput: float,
                  total_wss: float) -> CounterSnapshot:
@@ -253,7 +251,7 @@ class _Footprint:
         car = self.car_per_pkt * throughput
         irt = self.irt_per_pkt * throughput
         if self.miss_curve is not None:
-            frac = float(np.interp(total_wss, *self.miss_curve))
+            frac = self.miss_curve.at(total_wss)
         else:
             frac = self.mem_frac
         mem = car * frac
@@ -266,24 +264,6 @@ class _Footprint:
             memwr=mem * 0.3,
             wss=wss,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "car_per_pkt": self.car_per_pkt,
-            "irt_per_pkt": self.irt_per_pkt,
-            "mem_frac": self.mem_frac,
-            "wss_axis": {"x": self.wss_axis[0].tolist(), "y": self.wss_axis[1].tolist()},
-            "miss_curve": None if self.miss_curve is None
-            else {"x": self.miss_curve[0].tolist(), "y": self.miss_curve[1].tolist()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_Footprint":
-        where = "NfPredictor.footprint"
-        rates = [_field(d, k, where) for k in ("car_per_pkt", "irt_per_pkt", "mem_frac")]
-        mc = d.get("miss_curve")
-        return cls(*rates, _curve(_field(d, "wss_axis", where), f"{where}.wss_axis"),
-                   None if mc is None else _curve(mc, f"{where}.miss_curve"))
 
 
 @dataclasses.dataclass
@@ -405,7 +385,10 @@ class NfPredictor:
         if not isinstance(doc, dict) or doc.get("schema") != BUNDLE_SCHEMA:
             raise InvalidInputError("not a predictor bundle file")
         where = "NfPredictor"
-        pattern = _field(doc, "pattern", where)
+        for key in ("nf", "pattern", "solo_table", "footprint"):
+            if key not in doc:
+                raise InvalidInputError(f"{where}: missing key {key!r}")
+        pattern = doc["pattern"]
         try:
             pattern = ExecutionPattern(pattern)
         except ValueError:
@@ -414,8 +397,12 @@ class NfPredictor:
                 f"{[p.value for p in ExecutionPattern]}"
             ) from None
         accels = {k.value: k for k in ACCEL_ATTRIBUTE}
+        accel_doc = doc.get("accel_models", {})
+        if not isinstance(accel_doc, dict):
+            raise InvalidInputError(
+                f"{where}.accel_models: expected an object, got {accel_doc!r}")
         accel_models = {}
-        for k, v in doc.get("accel_models", {}).items():
+        for k, v in accel_doc.items():
             if k not in accels:
                 raise InvalidInputError(
                     f"{where}.accel_models: unknown resource {k!r}, "
@@ -424,12 +411,12 @@ class NfPredictor:
             accel_models[accels[k]] = AccelModelParams.from_dict(v)
         mem = doc.get("mem_model")
         return cls(
-            nf_name=_field(doc, "nf", where),
+            nf_name=doc["nf"],
             pattern=pattern,
-            solo_table=_SoloTable.from_dict(_field(doc, "solo_table", where)),
+            solo_table=_SoloTable.from_dict(doc["solo_table"]),
             mem_model=None if mem is None else GbrModel.from_dict(mem),
             accel_models=accel_models,
-            footprint=_Footprint.from_dict(_field(doc, "footprint", where)),
+            footprint=_Footprint.from_dict(doc["footprint"]),
             metadata=doc.get("metadata", {}),
         )
 
@@ -503,7 +490,7 @@ def build(
     previously collected ProfilingDataset skips the profiling stage.
     """
     t_solo_default = runner.solo_throughput(DEFAULT_TRAFFIC)
-    eps0 = config.eps0 if config.eps0 is not None else 0.05 * t_solo_default
+    eps0, _ = _resolve_eps(config, runner)
     touched = _touched_resources(runner, eps0)
     if not touched:
         raise InvalidInputError(
@@ -546,8 +533,8 @@ def build(
         return traffic, rate
 
     base_traffic, base_rate = mem_rate_at({})
-    axes: dict[str, tuple[list, list]] = {}
-    wss_axis: tuple[list, list] | None = None
+    axes: dict[str, _Curve] = {}
+    wss_axis: _Curve | None = None
     for name, lo, hi in config.attributes:
         if name in accel_bound:
             continue
@@ -560,13 +547,13 @@ def build(
             ys.append(rate)
             if name == "flow_count":
                 wss_ys.append(runner.own_counters(traffic).wss)
-        axes[name] = (xs, ys)
+        axes[name] = _Curve(xs, ys)
         if name == "flow_count":
-            wss_axis = (xs, wss_ys)
+            wss_axis = _Curve(xs, wss_ys)
     solo_table = _SoloTable(base_rate, axes, bounds)
     solo_counters = runner.own_counters(DEFAULT_TRAFFIC)
     if wss_axis is None:
-        wss_axis = ([1.0], [solo_counters.wss])
+        wss_axis = _Curve([1.0], [solo_counters.wss])
 
     # Black-box memory model from adaptive profiling, retargeted to the
     # memory-path rate.
@@ -584,8 +571,7 @@ def build(
             # Same combined-working-set convention as at predict time.
             counters = dataclasses.replace(
                 row.competitor_counters,
-                wss=row.competitor_counters.wss
-                + float(np.interp(row.traffic.flow_count, *wss_axis)),
+                wss=row.competitor_counters.wss + wss_axis.at(row.traffic.flow_count),
             )
             rows.append(dataclasses.replace(
                 row, observed_throughput=rate, competitor_counters=counters,
@@ -613,11 +599,11 @@ def build(
             c = row.competitor_counters
             if c.car <= 0:
                 continue
-            own = float(np.interp(row.traffic.flow_count, *wss_axis))
+            own = wss_axis.at(row.traffic.flow_count)
             pts.append((c.wss + own, (c.memrd + c.memwr) / c.car))
         if len(pts) >= 2:
             pts.sort()
-            miss_curve = ([x for x, _ in pts], [y for _, y in pts])
+            miss_curve = _Curve([x for x, _ in pts], [y for _, y in pts])
     footprint = _Footprint(car_pp, irt_pp, mem_frac, wss_axis, miss_curve)
 
     metadata = {

@@ -371,7 +371,7 @@ class ContentionScenario(Codec):
                 if key not in e:
                     raise InvalidInputError(
                         f"ContentionScenario.nfs: missing key {key!r}")
-        return super().from_dict({"nfs": [(e["spec"], e["traffic"]) for e in nfs]})
+        return super().from_dict({"nfs": [[e["spec"], e["traffic"]] for e in nfs]})
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,35 @@ def test_predict_rejects_bundle_without_footprint(flowmonitor_bundle, tmp_path, 
     assert "'footprint'" in _invalid_input_message(capsys)
 
 
+def _predict(tmp_path, bundle, contention) -> int:
+    traffic = tmp_path / "traffic.json"
+    traffic.write_text(json.dumps({"flow_count": 16000, "packet_size": 1500, "mtbr": 600}))
+    path = tmp_path / "contention.json"
+    path.write_text(json.dumps(contention))
+    return main(["predict", "--bundle", str(bundle), "--traffic", str(traffic),
+                 "--contention", str(path)])
+
+
+def test_predict_rejects_contention_list(flowmonitor_bundle, tmp_path, capsys):
+    assert _predict(tmp_path, flowmonitor_bundle, [{"accel": {"regex_accel": []}}]) == 2
+    _invalid_input_message(capsys)
+
+
+def test_predict_rejects_accel_entry_without_params(flowmonitor_bundle, tmp_path, capsys):
+    contention = {"accel": {"regex_accel": [{"attr_value": 600.0}]}}
+    assert _predict(tmp_path, flowmonitor_bundle, contention) == 2
+    assert "'params'" in _invalid_input_message(capsys)
+
+
+def test_predict_rejects_short_bounds(flowmonitor_bundle, tmp_path, capsys):
+    doc = read_json(flowmonitor_bundle)
+    doc["solo_table"]["bounds"]["flow_count"] = [1]
+    bundle = tmp_path / "short-bounds.bundle.json"
+    bundle.write_text(json.dumps(doc))
+    assert _predict(tmp_path, bundle, {"accel": {"regex_accel": []}}) == 2
+    assert "bounds" in _invalid_input_message(capsys)
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

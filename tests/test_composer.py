@@ -95,12 +95,3 @@ def test_detect_pattern_ambiguous_when_one_resource_is_inert():
     with pytest.raises(AmbiguousPatternError) as exc:
         detect_pattern(probe, (ResourceKind.MEMORY, ResourceKind.REGEX_ACCEL))
     assert exc.value.pipeline_mape == pytest.approx(exc.value.rtc_mape)
-
-
-def test_detect_pattern_needs_nine_point_grid():
-    with pytest.raises(InvalidInputError):
-        detect_pattern(
-            lambda levels: 1.0,
-            (ResourceKind.MEMORY, ResourceKind.REGEX_ACCEL),
-            levels=(0.5, 1.0),
-        )

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from nicperf.apps import PlacementReport
 from nicperf.core import (
     CounterSnapshot,
     InvalidInputError,
@@ -11,6 +12,8 @@ from nicperf.core import (
     band_accuracy,
     mape,
 )
+from nicperf.predictor import PredictionResult
+from nicperf.profiler import ProfilingConfig
 
 
 def test_mape_exact_prediction():
@@ -138,3 +141,27 @@ def test_throughput_sample_roundtrip_and_validation():
     for bad in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInputError):
             ThroughputSample("s", "nat", TrafficProfile(), ZERO_COUNTERS, bad)
+
+
+_ATTRS = [["flow_count", 1, 500000]]
+_RESULT = {"throughput": 1.0, "t_solo": 2.0, "drops": {}, "stage_rates": {}}
+
+
+@pytest.mark.parametrize("cls,doc,match", [
+    (PlacementReport, {"nic_count": 1, "nf_count": 2, "violating_instances": "ab"},
+     "PlacementReport.violating_instances: expected a list"),
+    (ProfilingConfig, {"attributes": _ATTRS, "contention_resources": {"memory": 1}},
+     "ProfilingConfig.contention_resources: expected a list"),
+    (ProfilingConfig, {"attributes": "flow_count"},
+     "ProfilingConfig.attributes: expected a list"),
+    (ProfilingConfig, {"attributes": ["flow_count"]},
+     "ProfilingConfig.attributes: expected a list"),
+    (ProfilingConfig, {"attributes": [["flow_count", 1]]},
+     "ProfilingConfig.attributes: expected 3 items, got 2"),
+    (PredictionResult, {**_RESULT, "saturated": "yes"},
+     "PredictionResult.saturated: expected true or false"),
+], ids=["tuple-of-str", "tuple-of-enum", "tuple-given-str", "fixed-tuple-given-str",
+        "fixed-tuple-short", "bool"])
+def test_codec_rejects_wrong_shape_naming_class_and_key(cls, doc, match):
+    with pytest.raises(InvalidInputError, match=match):
+        cls.from_dict(doc)

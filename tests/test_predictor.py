@@ -24,6 +24,9 @@ from nicperf.predictor import (
     ContentionDescriptor,
     ExtrapolationError,
     NfPredictor,
+    _Curve,
+    _Footprint,
+    _SoloTable,
     build,
 )
 
@@ -148,6 +151,78 @@ def test_bundle_unknown_value_rejected(bundle_cache, field, value, match):
         NfPredictor.from_dict(doc)
 
 
+def _set(doc: dict, path: tuple, value) -> None:
+    *parents, key = path
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+
+
+_AXIS = ("solo_table", "axes", "flow_count")
+_MISS = ("footprint", "miss_curve")
+_BAD_VALUES = [
+    (("accel_models",), [], "expected an object"),
+    (("solo_table", "bounds", "flow_count"), [1], "expected 2 items, got 1"),
+    (("solo_table", "bounds", "flow_count"), "15", "expected a list"),
+    (("solo_table", "base_rate"), math.nan, "finite and positive"),
+    (("solo_table", "base_rate"), "saturating", "finite and positive"),
+    (("solo_table", "base_rate"), 0.0, "finite and positive"),
+    (("solo_table", "axes"), [], "_SoloTable.axes"),
+    ((*_AXIS, "y", 0), math.nan, "finite"),
+    ((*_AXIS, "x", -1), "saturating", "finite"),
+    ((*_AXIS, "y"), [1.0, 2.0], "equal non-zero lengths"),
+    ((*_AXIS, "x"), "15", "expected a list"),
+    (_AXIS, {"x": [], "y": []}, "equal non-zero lengths"),
+    (("footprint", "wss_axis", "y", 0), "saturating", "finite"),
+    ((*_MISS, "y", 0), math.nan, "finite"),
+    ((*_MISS, "x"), [2.0, 1.0], "equal non-zero lengths"),
+    (_MISS, {"x": [2.0, 1.0], "y": [0.1, 0.2]}, "ascending"),
+]
+
+
+@pytest.mark.parametrize("path,value,match", _BAD_VALUES, ids=[
+    f"{'/'.join(map(str, path))}={json.dumps(value)}" for path, value, _ in _BAD_VALUES])
+def test_bundle_bad_value_rejected(bundle_cache, path, value, match):
+    doc = _bundle_doc(bundle_cache)
+    _set(doc, path, value)
+    with pytest.raises(InvalidInputError, match=match):
+        NfPredictor.from_dict(doc)
+
+
+_FLOAT = st.floats(-1e12, 1e12)
+
+
+@st.composite
+def _curves(draw):
+    xs = sorted(draw(st.lists(_FLOAT, min_size=1, max_size=12)))
+    ys = draw(st.lists(_FLOAT, min_size=len(xs), max_size=len(xs)))
+    return _Curve(xs, ys)
+
+
+_NAMES = st.sampled_from(["flow_count", "packet_size", "mtbr"])
+_SOLO_TABLES = st.builds(
+    _SoloTable, base_rate=st.floats(1e-6, 1e9),
+    axes=st.dictionaries(_NAMES, _curves()),
+    bounds=st.dictionaries(_NAMES, st.tuples(_FLOAT, _FLOAT)),
+)
+_FOOTPRINTS = st.builds(
+    _Footprint, car_per_pkt=_FLOAT, irt_per_pkt=_FLOAT, mem_frac=_FLOAT,
+    wss_axis=_curves(), miss_curve=st.none() | _curves(),
+)
+
+
+def _wire_roundtrip(part) -> None:
+    text = json.dumps(part.to_dict(), sort_keys=True)
+    again = type(part).from_dict(json.loads(text))
+    assert json.dumps(again.to_dict(), sort_keys=True) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(part=st.one_of(_SOLO_TABLES, _FOOTPRINTS))
+def test_bundle_part_wire_roundtrip(part):
+    _wire_roundtrip(part)
+
+
 def test_descriptor_roundtrip_with_saturating_rate():
     desc = ContentionDescriptor(
         counters=CounterSnapshot(l2crd=1e6, wss=3e6),
@@ -207,6 +282,26 @@ _REGEX_COMPETITOR = st.tuples(
     st.floats(0.0, 1100.0),
     st.one_of(st.floats(0.0, 1e7), st.just(math.inf)),
 )
+
+
+_ACCEL_COMPETITOR = st.tuples(
+    st.builds(AccelModelParams, queue_count=st.integers(1, 4),
+              t0=st.floats(1e-7, 1e-4), a=st.floats(0.0, 1e-8),
+              resource=st.sampled_from([ResourceKind.REGEX_ACCEL,
+                                        ResourceKind.COMPRESSION_ACCEL]),
+              fit_r2=st.none() | st.floats(0.0, 1.0)),
+    st.floats(-1e6, 1e6),
+    st.one_of(st.floats(0.0, 1e7), st.just(math.inf)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counters=_COUNTERS, accel=st.dictionaries(
+    st.sampled_from(list(ResourceKind)), st.lists(_ACCEL_COMPETITOR, max_size=3)))
+def test_descriptor_wire_roundtrip(counters, accel):
+    desc = ContentionDescriptor(counters=counters, accel=accel)
+    _wire_roundtrip(desc)
+    assert ContentionDescriptor.from_dict(json.loads(json.dumps(desc.to_dict()))) == desc
 
 
 @pytest.mark.parametrize("nf", ["nat", "flowmonitor"])
