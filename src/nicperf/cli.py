@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -26,6 +28,7 @@ from .apps import (
     OPTIMUM_MAX_INSTANCES,
     Fleet,
     NfInstance,
+    PlacementReport,
     PlacementStrategy,
     SlaSpec,
     diagnose,
@@ -38,9 +41,11 @@ from .catalog import ATTRIBUTE_RANGES, SimulatorRunner, get_nf
 from .composer import AmbiguousPatternError
 from .core import (
     DEFAULT_TRAFFIC,
+    Codec,
     InvalidInputError,
     ResourceKind,
     TrafficProfile,
+    _read_text,
     band_accuracy,
     mape,
 )
@@ -52,8 +57,10 @@ from .predictor import (
     build,
 )
 from .profiler import (
+    FullProfileConfig,
     ProfilingConfig,
     QuotaExhaustedError,
+    Strategy,
     adaptive_profile,
     full_profile,
     load_dataset,
@@ -63,6 +70,7 @@ from .profiler import (
 from .simulator import (
     ContentionScenario,
     ConvergenceError,
+    SimulationResult,
     make_benchmark_nf,
     run_scenario,
 )
@@ -78,8 +86,6 @@ _ERROR_TYPES = {
     QuotaExhaustedError: "quota-exhausted",
     FileNotFoundError: "missing-file",
     json.JSONDecodeError: "malformed-json",
-    KeyError: "malformed-input",
-    ValueError: "invalid-input",
 }
 
 
@@ -100,9 +106,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
+def _load_json(path) -> dict:
+    return json.loads(_read_text(path))
 
 
 def _dump_json(doc, path: Path) -> None:
@@ -129,19 +134,99 @@ def _write_manifest(command: str, args: argparse.Namespace,
     )
 
 
-def _parse_levels(doc: dict) -> dict:
-    levels = {}
-    for key, v in doc.items():
-        kind = ResourceKind(key)
-        levels[kind] = tuple(float(x) for x in v) if isinstance(v, list) else float(v)
-    return levels
+@dataclasses.dataclass(frozen=True)
+class _Point(Codec):
+    """One point of an evaluate grid: traffic, and a benchmark contention
+    level in [0, 1] per resource, which for memory may be a (car, wss) pair."""
+
+    traffic: TrafficProfile
+    levels: dict[ResourceKind, float | tuple[float, float]] = dataclasses.field(
+        default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for kind, level in self.levels.items():
+            pair = isinstance(level, tuple)
+            if (pair and kind is not ResourceKind.MEMORY) or not all(
+                    0 <= x <= 1 for x in (level if pair else (level,))):
+                raise InvalidInputError(
+                    f"{type(self).__name__}.levels: {kind.value} needs a level in [0, 1], "
+                    f"or for memory a pair of them, got {level!r}")
 
 
-def _bench_descriptor(bundle: NfPredictor, levels_doc: dict, counters) -> ContentionDescriptor:
+@dataclasses.dataclass(frozen=True)
+class _Grid(Codec):
+    """An evaluate test grid."""
+
+    points: tuple[_Point, ...]
+
+
+# Keyword-only: the required attribute follows the point's defaulted fields.
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class _Sweep(_Point):
+    """A diagnose sweep from the point ``traffic``/``levels`` along one
+    traffic attribute: over ``values``, or ``points`` evenly spaced values
+    from ``start`` to ``stop``."""
+
+    traffic: TrafficProfile = DEFAULT_TRAFFIC
+    attribute: str
+    values: tuple[float, ...] | None = None
+    start: float | None = None
+    stop: float | None = None
+    points: int | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.attribute not in ATTRIBUTE_RANGES:
+            raise InvalidInputError(
+                f"sweep attribute must be one of {', '.join(ATTRIBUTE_RANGES)}, "
+                f"got {self.attribute!r}")
+        if self.values is None:
+            if None in (self.start, self.stop, self.points):
+                raise InvalidInputError("_Sweep: needs 'values', or 'start', 'stop' and 'points'")
+            lo, hi, n = self.start, self.stop, self.points
+            if n < 2:
+                raise InvalidInputError(f"a start/stop sweep needs points >= 2, got {n}")
+            object.__setattr__(self, "values",
+                               tuple(lo + (hi - lo) * i / (n - 1) for i in range(n)))
+        if not self.values:
+            raise InvalidInputError("the sweep has no values")
+        # An absent start or stop counts as 0.
+        if not all(map(math.isfinite, (*self.values, self.start or 0, self.stop or 0))):
+            raise InvalidInputError("_Sweep: values, start and stop must be finite")
+
+
+@dataclasses.dataclass(frozen=True)
+class _PathArrival(Codec):
+    """An arrival whose bundle is a file, relative to the arrivals file."""
+
+    instance_id: str
+    bundle_path: str
+    traffic: TrafficProfile
+    max_drop_ratio: float
+
+    def __post_init__(self) -> None:
+        SlaSpec(self.max_drop_ratio)  # raises on a ratio outside (0, 1]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Arrivals(Codec):
+    """A schedule input: inline (``bundle``) or ``bundle_path`` arrivals."""
+
+    arrivals: tuple[dict, ...]
+
+
+@dataclasses.dataclass(frozen=True)
+class _ScoredReport(PlacementReport):
+    """A schedule-eval output: the report, and the optimum when computed."""
+
+    optimum_nic_count: int | None = None
+
+
+def _bench_descriptor(bundle: NfPredictor, levels: dict, counters) -> ContentionDescriptor:
     """Contention descriptor for co-running against benchmark NFs."""
     accel = {}
     for kind in bundle.accel_models:
-        lvl = float(levels_doc.get(kind.value, 0.0))
+        lvl = levels.get(kind, 0.0)
         if lvl <= 0:
             accel[kind] = ()
             continue
@@ -160,10 +245,10 @@ def _config_from_dataset(dataset) -> ProfilingConfig:
     if "attributes" in cfg:
         return ProfilingConfig.from_dict(cfg)
     # Full-grid datasets carry the grid instead of attribute bounds.
-    grid = cfg["grid"]
+    full = FullProfileConfig.from_dict(cfg)
     return ProfilingConfig(
-        attributes=tuple((n, min(v), max(v)) for n, v in sorted(grid.items())),
-        seed=int(cfg.get("seed", 0)),
+        attributes=tuple((n, min(v), max(v)) for n, v in full.grid.items()),
+        seed=full.seed,
     )
 
 
@@ -181,24 +266,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_profile(args) -> int:
     runner = SimulatorRunner(get_nf(args.nf))
-    cfg_doc = _load_json(args.config)
-    if args.strategy == "full":
-        dataset = full_profile(
-            args.nf, cfg_doc["grid"], runner,
-            contention_resources=tuple(
-                ResourceKind(r)
-                for r in cfg_doc.get("contention_resources", ["memory"])
-            ),
-            draws_per_cell=int(cfg_doc.get("draws_per_cell", 1)),
-            seed=args.seed if args.seed is not None else int(cfg_doc.get("seed", 0)),
-        )
-    else:
-        if args.seed is not None:
-            cfg_doc = {**cfg_doc, "seed": args.seed}
-        config = ProfilingConfig.from_dict(cfg_doc)
-        fn = adaptive_profile if args.strategy == "adaptive" else random_profile
-        dataset = fn(args.nf, config, runner)
-    save_dataset(dataset, args.out)
+    full = args.strategy == Strategy.FULL
+    config = (FullProfileConfig if full else ProfilingConfig).from_dict(_load_json(args.config))
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    fn = (full_profile if full else
+          adaptive_profile if args.strategy == Strategy.ADAPTIVE else random_profile)
+    save_dataset(fn(args.nf, config, runner), args.out)
     _write_manifest("profile", args, [args.config], [args.out])
     return 0
 
@@ -218,7 +292,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    bundle = NfPredictor.from_json(Path(args.bundle).read_text())
+    bundle = NfPredictor.from_json(_read_text(args.bundle))
     traffic = TrafficProfile.from_dict(_load_json(args.traffic))
     contention = ContentionDescriptor.from_dict(_load_json(args.contention))
     result = bundle.predict(traffic, contention)
@@ -239,13 +313,11 @@ def _evaluator(bundle_text: str) -> tuple[NfPredictor, SimulatorRunner]:
 
 
 def _evaluate_point(bundle: NfPredictor, runner: SimulatorRunner,
-                    point: dict) -> tuple[float, float]:
+                    point: _Point) -> tuple[float, float]:
     """One grid point -> (actual, predicted)."""
-    levels_doc = point.get("levels", {})
-    traffic = TrafficProfile.from_dict(point["traffic"])
-    sample = runner.sample("eval", traffic, _parse_levels(levels_doc))
-    desc = _bench_descriptor(bundle, levels_doc, sample.competitor_counters)
-    pred = bundle.predict(traffic, desc)
+    sample = runner.sample("eval", point.traffic, point.levels)
+    desc = _bench_descriptor(bundle, point.levels, sample.competitor_counters)
+    pred = bundle.predict(point.traffic, desc)
     return sample.observed_throughput, pred.throughput
 
 
@@ -259,21 +331,22 @@ def _init_worker(bundle_text: str) -> None:
     _worker_evaluator = _evaluator(bundle_text)
 
 
-def _worker_point(point: dict) -> tuple[float, float]:
+def _worker_point(point: _Point) -> tuple[float, float]:
     return _evaluate_point(*_worker_evaluator, point)
 
 
 def cmd_evaluate(args) -> int:
-    bundle_text = Path(args.bundle).read_text()
+    bundle_text = _read_text(args.bundle)
     # Parsed here also with --jobs, so a bad bundle fails before any worker starts.
     evaluator = _evaluator(bundle_text)
-    grid = _load_json(args.testgrid)
+    doc = _load_json(args.testgrid)
+    points = _Grid.from_dict(doc).points
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
                                  initargs=(bundle_text,)) as pool:
-            pairs = list(pool.map(_worker_point, grid["points"]))
+            pairs = list(pool.map(_worker_point, points))
     else:
-        pairs = [_evaluate_point(*evaluator, p) for p in grid["points"]]
+        pairs = [_evaluate_point(*evaluator, p) for p in points]
 
     actuals = [a for a, _ in pairs]
     preds = [p for _, p in pairs]
@@ -281,7 +354,8 @@ def cmd_evaluate(args) -> int:
         w = csv.writer(f)
         w.writerow(["row_type", "flow_count", "packet_size", "mtbr", "levels",
                     "actual", "predicted", "error_pct"])
-        for point, (actual, pred) in zip(grid["points"], pairs):
+        # The traffic and levels cells echo the file's own values.
+        for point, (actual, pred) in zip(doc["points"], pairs):
             t = point["traffic"]
             w.writerow([
                 "point", t.get("flow_count"), t.get("packet_size"), t.get("mtbr"),
@@ -300,26 +374,19 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_arrivals(path: str) -> list[NfInstance]:
-    doc = _load_json(path)
     base = Path(path).parent
     parsed: dict[Path, NfPredictor] = {}
     out = []
-    for entry in doc["arrivals"]:
-        if "bundle_path" in entry:
-            bpath = Path(entry["bundle_path"])
-            if not bpath.is_absolute():
-                bpath = base / bpath
-            if bpath not in parsed:
-                parsed[bpath] = NfPredictor.from_json(bpath.read_text())
-            predictor = parsed[bpath]
-        else:
-            predictor = NfPredictor.from_dict(entry["bundle"])
-        out.append(NfInstance(
-            instance_id=entry["instance_id"],
-            predictor=predictor,
-            traffic=TrafficProfile.from_dict(entry["traffic"]),
-            sla=SlaSpec(float(entry["max_drop_ratio"])),
-        ))
+    for entry in _Arrivals.from_dict(_load_json(path)).arrivals:
+        if "bundle_path" not in entry:
+            out.append(NfInstance.from_dict(entry))
+            continue
+        arrival = _PathArrival.from_dict(entry)
+        bpath = base / arrival.bundle_path  # an absolute bundle_path stays as it is
+        if bpath not in parsed:
+            parsed[bpath] = NfPredictor.from_json(_read_text(bpath))
+        out.append(NfInstance(arrival.instance_id, parsed[bpath], arrival.traffic,
+                              SlaSpec(arrival.max_drop_ratio)))
     return out
 
 
@@ -332,8 +399,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_schedule_eval(args) -> int:
-    doc = _load_json(args.fleet)
-    fleet = Fleet.from_dict(doc)
+    fleet = Fleet.from_dict(_load_json(args.fleet))
     report = evaluate_placement(fleet)
     out_doc = {"schema": "placement-report", **report.to_dict()}
     n = report.nf_count
@@ -353,37 +419,19 @@ def cmd_schedule_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    bundle = NfPredictor.from_json(Path(args.bundle).read_text())
-    sweep = _load_json(args.sweep)
-    attr = sweep["attribute"]
-    if attr not in ATTRIBUTE_RANGES:
-        raise InvalidInputError(
-            f"sweep attribute must be one of {', '.join(ATTRIBUTE_RANGES)}, "
-            f"got {attr!r}")
-    if "values" in sweep:
-        if not isinstance(sweep["values"], list):
-            raise InvalidInputError("sweep values must be a list")
-        values = [float(v) for v in sweep["values"]]
-    else:
-        lo, hi, n = float(sweep["start"]), float(sweep["stop"]), int(sweep["points"])
-        if n < 2:
-            raise InvalidInputError(f"a start/stop sweep needs points >= 2, got {n}")
-        values = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    if not values:
-        raise InvalidInputError("the sweep has no values")
-    base = TrafficProfile.from_dict(sweep.get("traffic", {}))
-    levels_doc = sweep.get("levels", {})
+    bundle = NfPredictor.from_json(_read_text(args.bundle))
+    sweep = _Sweep.from_dict(_load_json(args.sweep))
+    attr, levels = sweep.attribute, sweep.levels
     runner = SimulatorRunner(get_nf(bundle.nf_name))
 
     rows = []
     agree = 0
-    for v in values:
-        traffic = base.replace(**{attr: int(round(v)) if attr != "mtbr" else v})
-        levels = _parse_levels(levels_doc)
+    for v in sweep.values:
+        traffic = sweep.traffic.replace(**{attr: int(round(v)) if attr != "mtbr" else v})
         result = runner.run(traffic, levels)
         truth = result.bottleneck[bundle.nf_name]
         sample = runner.sample(f"diag-{v:g}", traffic, levels)
-        desc = _bench_descriptor(bundle, levels_doc, sample.competitor_counters)
+        desc = _bench_descriptor(bundle, levels, sample.competitor_counters)
         pred = diagnose(bundle, traffic, desc)
         agree += pred == truth
         rows.append((v, pred.value, truth.value, pred == truth))
@@ -403,23 +451,23 @@ def cmd_diagnose(args) -> int:
 def _summarize_input(path: Path) -> dict:
     """One summary row per report input, keyed by its schema."""
     if path.suffix == ".csv":
-        with path.open(newline="") as f:
-            rows = list(csv.reader(f))
+        rows = list(csv.reader(_read_text(path).splitlines()))
         summary = {r[0]: r[-1] for r in rows[1:] if r and r[0].startswith("summary_")}
         kind = "evaluation" if "summary_mape" in summary else "diagnosis"
         return {"input": path.name, "kind": kind, **summary}
-    doc = json.loads(path.read_text())
-    schema = doc.get("schema", "")
+    doc = _load_json(path)
+    schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema == "placement-report":
+        report = _ScoredReport.from_dict(doc)
         out = {"input": path.name, "kind": "placement",
-               "nic_count": doc["nic_count"], "nf_count": doc["nf_count"],
-               "violation_pct": f"{doc['violation_pct']:.4f}"}
-        if "wastage_pct" in doc:
-            out["wastage_pct"] = f"{doc['wastage_pct']:.4f}"
+               "nic_count": report.nic_count, "nf_count": report.nf_count,
+               "violation_pct": f"{report.violation_pct:.4f}"}
+        if report.optimum_nic_count is not None:
+            out["wastage_pct"] = f"{report.wastage_pct(report.optimum_nic_count):.4f}"
         return out
     if schema == "simulation-result":
         return {"input": path.name, "kind": "simulation",
-                "nf_count": len(doc["per_nf_throughput"])}
+                "nf_count": len(SimulationResult.from_dict(doc).per_nf_throughput)}
     raise InvalidInputError(f"unrecognized report input {path}")
 
 
@@ -463,8 +511,7 @@ def _build_parser() -> _Parser:
     p = add("profile", cmd_profile, help="collect a training dataset")
     p.add_argument("--seed", type=int, help="override the config's seed")
     p.add_argument("--nf", required=True)
-    p.add_argument("--strategy", required=True,
-                   choices=["adaptive", "random", "full"])
+    p.add_argument("--strategy", required=True, choices=[s.value for s in Strategy])
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
 

@@ -14,6 +14,7 @@ import typing
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Sequence
 
 __all__ = [
@@ -35,32 +36,59 @@ class InvalidInputError(ValueError):
     """Raised when an operation's preconditions are violated."""
 
 
+def _read_text(path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 #: Wire form of ``math.inf``: an always-backlogged offered rate.
 _INF_WIRE = "saturating"
 
 
 def _float_in(v) -> float:
-    return math.inf if v == _INF_WIRE else float(v)
+    if v == _INF_WIRE:
+        return math.inf
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
 
 
 def _float_out(v: float):
     return _INF_WIRE if v == math.inf else v
 
 
-def _bool_in(v) -> bool:
-    if not isinstance(v, bool):
-        raise TypeError(f"expected true or false, got {v!r}")
+def _int_in(v) -> int:
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
     return v
 
 
-def _list_in(v) -> list:
-    if not isinstance(v, list):
-        raise TypeError(f"expected a list, got {v!r}")
-    return v
+def _only(kind: type, what: str) -> Callable:
+    """Decoder that passes a value of JSON type ``kind`` unchanged."""
+    def dec(v):
+        if not isinstance(v, kind):
+            raise TypeError(f"expected {what}, got {v!r}")
+        return v
+    return dec
+
+
+_bool_in = _only(bool, "true or false")
+_str_in = _only(str, "a string")
+_list_in = _only(list, "a list")
+_dict_in = _only(dict, "an object")
 
 
 def _same(v):
     return v
+
+
+#: Decoders of the plain field types; each encodes as itself.
+_PLAIN = {int: _int_in, bool: _bool_in, str: _str_in, dict: _dict_in, type(None): _same}
 
 
 def _converters(hint) -> tuple[Callable, Callable]:
@@ -68,19 +96,18 @@ def _converters(hint) -> tuple[Callable, Callable]:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is float:
         return _float_in, _float_out
-    if hint is bool:
-        return _bool_in, _same
-    if hint in (int, str):
-        return hint, _same
+    if hint in _PLAIN:
+        return _PLAIN[hint], _same
     if isinstance(hint, type) and issubclass(hint, Enum):
         return hint, lambda v: v.value
     if isinstance(hint, type) and issubclass(hint, Codec):
         return hint.from_dict, hint.to_dict
-    if origin in (typing.Union, types.UnionType) and len(args) == 2 \
-            and type(None) in args:
-        dec, enc = _converters(args[0] if args[1] is type(None) else args[1])
-        return ((lambda v: None if v is None else dec(v)),
-                (lambda v: None if v is None else enc(v)))
+    if origin in (typing.Union, types.UnionType) and len(args) == 2:
+        # ``X | None``, or ``X | tuple[...]`` whose tuple reads from a JSON list.
+        (dec, enc), (odec, oenc) = _converters(args[0]), _converters(args[1])
+        wire, held = (list, tuple) if typing.get_origin(args[1]) is tuple else (args[1],) * 2
+        return ((lambda v: odec(v) if isinstance(v, wire) else dec(v)),
+                (lambda v: oenc(v) if isinstance(v, held) else enc(v)))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         dec, enc = _converters(args[0])
         return (lambda v: tuple([dec(e) for e in _list_in(v)])), (lambda v: [enc(e) for e in v])
@@ -98,7 +125,7 @@ def _converters(hint) -> tuple[Callable, Callable]:
         return (lambda v: [dec(e) for e in _list_in(v)]), (lambda v: [enc(e) for e in v])
     if origin in (dict, Mapping):
         (kdec, kenc), (vdec, venc) = _converters(args[0]), _converters(args[1])
-        return ((lambda v: {kdec(k): vdec(e) for k, e in v.items()}),
+        return ((lambda v: {kdec(k): vdec(e) for k, e in _dict_in(v).items()}),
                 (lambda v: {kenc(k): venc(e) for k, e in v.items()}))
     raise TypeError(f"no wire format for type {hint!r}")
 
@@ -119,8 +146,11 @@ class Codec:
 
     Output: enums (values and dict keys) as their ``.value``, nested
     dataclasses as dicts, tuples as lists, ``math.inf`` as ``"saturating"``.
-    Input is coerced by each field's type hint; a list or tuple field
-    takes only a JSON list.  A missing key takes the field's default;
+    Input must already have each field's JSON type, and nothing is
+    coerced: an ``int`` takes an integral number (``16000.0`` but not
+    ``16000.7``), a ``float`` a number, a ``str`` a string, a ``dict`` an
+    object, a list or tuple a JSON list, and ``X | tuple[...]`` reads a
+    JSON list as the tuple.  A missing key takes the field's default;
     unknown keys are ignored, so rows written with fields since removed
     still load.  A bad or missing value raises InvalidInputError naming
     the class and the key.

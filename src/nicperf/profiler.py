@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from enum import Enum
 from pathlib import Path
 
@@ -31,11 +32,13 @@ from .core import (
     ResourceKind,
     ThroughputSample,
     TrafficProfile,
+    _read_text,
 )
 from .simulator import levels_key
 
 __all__ = [
     "ProfilingConfig",
+    "FullProfileConfig",
     "ProfilingDataset",
     "Strategy",
     "QuotaExhaustedError",
@@ -61,6 +64,12 @@ class Strategy(str, Enum):
 
 class QuotaExhaustedError(RuntimeError):
     """The sample quota cannot cover the mandatory pruning probes."""
+
+
+def _check_names(owner: str, names) -> None:
+    for name in names:
+        if name not in TrafficProfile.__dataclass_fields__:
+            raise InvalidInputError(f"{owner}: unknown traffic attribute {name!r}")
 
 
 def _make_traffic(values: dict[str, float]) -> TrafficProfile:
@@ -91,16 +100,17 @@ class ProfilingConfig(Codec):
     def __post_init__(self) -> None:
         if not self.attributes:
             raise InvalidInputError("need at least one traffic attribute")
+        _check_names("ProfilingConfig.attributes", (a[0] for a in self.attributes))
         for name, lo, hi in self.attributes:
-            if not lo < hi:
-                raise InvalidInputError(f"attribute {name}: need min < max")
+            if not -math.inf < lo < hi < math.inf:
+                raise InvalidInputError(f"attribute {name}: need finite min < max")
         if self.m < 1:
             raise InvalidInputError("m must be >= 1")
         if self.quota < self.m:
             raise InvalidInputError("quota must cover at least m samples")
         for eps in (self.eps0, self.eps1):
-            if eps is not None and eps <= 0:
-                raise InvalidInputError("thresholds must be positive")
+            if eps is not None and not 0 < eps < math.inf:
+                raise InvalidInputError("eps0 and eps1 must be finite and positive")
         if not 0 < self.min_box_frac < 1:
             raise InvalidInputError("min_box_frac must be in (0, 1)")
         object.__setattr__(self, "attributes",
@@ -108,6 +118,30 @@ class ProfilingConfig(Codec):
                                  for n, a, b in self.attributes))
         object.__setattr__(self, "contention_resources",
                            tuple(ResourceKind(r) for r in self.contention_resources))
+
+
+@dataclasses.dataclass(frozen=True)
+class FullProfileConfig(Codec):
+    """The full strategy's grid: every combination of each traffic
+    attribute's listed values, with draws_per_cell random contention
+    draws per cell and at most FULL_PROFILE_CAP samples in all."""
+
+    grid: dict[str, tuple[float, ...]]
+    draws_per_cell: int = 1
+    seed: int = 0
+    contention_resources: tuple[ResourceKind, ...] = (ResourceKind.MEMORY,)
+
+    def __post_init__(self) -> None:
+        grid = {n: tuple(map(float, self.grid[n])) for n in sorted(self.grid)}
+        object.__setattr__(self, "grid", grid)
+        _check_names("FullProfileConfig.grid", grid)
+        if not grid or not all(grid.values()) or \
+                not all(map(math.isfinite, itertools.chain(*grid.values()))):
+            raise InvalidInputError("FullProfileConfig.grid: need finite values per attribute")
+        size = self.draws_per_cell * math.prod(map(len, grid.values()))
+        if not 0 < size <= FULL_PROFILE_CAP:
+            raise InvalidInputError(f"full grid would need {size} samples, not 1 to the cap "
+                                    f"of {FULL_PROFILE_CAP} (draws_per_cell must be >= 1)")
 
 
 @dataclasses.dataclass
@@ -261,41 +295,22 @@ def random_profile(nf_name: str, config: ProfilingConfig, runner) -> ProfilingDa
     )
 
 
-def full_profile(
-    nf_name: str,
-    grid: dict[str, list[float]],
-    runner,
-    *,
-    contention_resources: tuple[ResourceKind, ...] = (ResourceKind.MEMORY,),
-    draws_per_cell: int = 1,
-    seed: int = 0,
-) -> ProfilingDataset:
+def full_profile(nf_name: str, config: FullProfileConfig, runner) -> ProfilingDataset:
     """The complete Cartesian traffic grid with random contention draws."""
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise InvalidInputError("grid must list values for every attribute")
-    size = draws_per_cell
-    for v in grid.values():
-        size *= len(v)
-    if size > FULL_PROFILE_CAP:
-        raise InvalidInputError(
-            f"full grid would need {size} samples, above the cap of {FULL_PROFILE_CAP}"
-        )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     book = _Book(nf_name, Strategy.FULL, None)
-    names = sorted(grid)
-    for combo in itertools.product(*(grid[n] for n in names)):
+    names = list(config.grid)
+    for combo in itertools.product(*config.grid.values()):
         traffic = _make_traffic(dict(zip(names, combo)))
-        for _ in range(draws_per_cell):
-            profile_one(book, traffic, _draw_levels(rng, contention_resources), runner)
+        for _ in range(config.draws_per_cell):
+            profile_one(book, traffic, _draw_levels(rng, config.contention_resources), runner)
     return ProfilingDataset(
         nf_name=nf_name,
         strategy=Strategy.FULL,
         rows=book.rows,
         pruned_attributes=(),
         samples_used=book.used,
-        config={"grid": {n: list(map(float, grid[n])) for n in names},
-                "draws_per_cell": draws_per_cell, "seed": seed,
-                "contention_resources": [r.value for r in contention_resources]},
+        config=config.to_dict(),
     )
 
 
@@ -329,22 +344,33 @@ def save_dataset(dataset: ProfilingDataset, path: str | Path) -> Path:
     return mpath
 
 
+@dataclasses.dataclass(frozen=True)
+class _Manifest(Codec):
+    """The keys of a dataset manifest that load_dataset reads."""
+
+    nf: str
+    strategy: Strategy
+    samples_used: int
+    pruned_attributes: tuple[str, ...]
+    config: dict
+
+
 def load_dataset(path: str | Path) -> ProfilingDataset:
     path = Path(path)
     rows = [ThroughputSample.from_dict(json.loads(line))
-            for line in path.read_text().splitlines() if line.strip()]
+            for line in _read_text(path).splitlines() if line.strip()]
     mpath = _manifest_path(path)
     if not mpath.exists():
         raise InvalidInputError(
             f"dataset {path} has no manifest {mpath.name}; "
             "a dataset is the JSONL rows plus the manifest profile writes"
         )
-    m = json.loads(mpath.read_text())
+    m = _Manifest.from_dict(json.loads(_read_text(mpath)))
     return ProfilingDataset(
-        nf_name=m["nf"],
-        strategy=Strategy(m["strategy"]),
+        nf_name=m.nf,
+        strategy=m.strategy,
         rows=rows,
-        pruned_attributes=tuple(m.get("pruned_attributes", [])),
-        samples_used=int(m.get("samples_used", len(rows))),
-        config=m.get("config", {}),
+        pruned_attributes=m.pruned_attributes,
+        samples_used=m.samples_used,
+        config=m.config,
     )

@@ -44,6 +44,7 @@ from nicperf.core import (
 from nicperf.mem_model import feature_vector, predict, train
 from nicperf.predictor import ContentionDescriptor, NfPredictor, build
 from nicperf.profiler import (
+    FullProfileConfig,
     ProfilingConfig,
     _make_traffic,
     adaptive_profile,
@@ -300,7 +301,7 @@ def test_adaptive_profiling_efficiency():
         for label, ds in (
             ("adaptive", adaptive_profile(name, cfg, runner)),
             ("random", random_profile(name, cfg, runner)),
-            ("full", full_profile(name, grid, runner)),
+            ("full", full_profile(name, FullProfileConfig(grid), runner)),
         ):
             results[label] = _holdout_mape(_fit(runner, ds.rows), runner, points)
         beats_random += results["adaptive"] < results["random"]

@@ -1,11 +1,26 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nicperf.cli import _load_arrivals, main
+from nicperf.catalog import ATTRIBUTE_RANGES
+from nicperf.cli import (
+    _Arrivals,
+    _Grid,
+    _PathArrival,
+    _Point,
+    _ScoredReport,
+    _Sweep,
+    _load_arrivals,
+    main,
+)
+from nicperf.core import InvalidInputError
+from nicperf.profiler import FullProfileConfig, Strategy, _Manifest
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "example.json"
 
@@ -345,3 +360,173 @@ def test_usage_errors_exit_1():
         main(["train", "--nf", "nat", "--dataset", "d.jsonl", "--out", "b.json",
               "--seed", "1"])
     assert exc.value.code == 1
+
+
+_TRAFFIC = {"flow_count": 16000, "packet_size": 1500, "mtbr": 600}
+
+
+def _write(path, doc):
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    return str(path)
+
+
+def _evaluate_on(doc):
+    return lambda tmp, bundle: ["evaluate", "--bundle", str(bundle), "--testgrid",
+                                _write(tmp / "grid.json", doc), "--out", str(tmp / "eval.csv")]
+
+
+def _levels(levels):
+    return _evaluate_on({"points": [{"traffic": _TRAFFIC, "levels": levels}]})
+
+
+def _profile_full(doc):
+    return lambda tmp, bundle: ["profile", "--nf", "nat", "--strategy", "full", "--config",
+                                _write(tmp / "cfg.json", doc), "--out", str(tmp / "nat.jsonl")]
+
+
+def _schedule(doc):
+    return lambda tmp, bundle: ["schedule", "--arrivals", _write(tmp / "arrivals.json", doc),
+                                "--strategy", "greedy", "--out", str(tmp / "fleet.json")]
+
+
+def _train_without_nf(tmp, bundle):
+    (tmp / "nat.jsonl").write_text("")
+    _write(tmp / "nat.manifest.json", {"strategy": "random", "samples_used": 0,
+                                       "pruned_attributes": [], "config": {}})
+    return ["train", "--nf", "nat", "--dataset", str(tmp / "nat.jsonl"),
+            "--out", str(tmp / "nat.bundle.json")]
+
+
+def _report_without_nic_count(tmp, bundle):
+    doc = {"schema": "placement-report", "nf_count": 1, "violating_instances": []}
+    return ["report", "--inputs", _write(tmp / "report.json", doc), "--out", str(tmp / "r")]
+
+
+@pytest.mark.parametrize("argv,words", [
+    (_evaluate_on({"points": 5}), ["_Grid.points", "expected a list"]),
+    (_levels([1]), ["_Point.levels", "expected an object"]),
+    (_levels({"regex_accel": [0.5, 0.5]}), ["_Point.levels", "regex_accel"]),
+    (_levels({"memory": math.nan}), ["_Point.levels", "memory"]),
+    (_levels({"memory": -0.5}), ["_Point.levels", "memory"]),
+    (_schedule({"arrivals": ["x"]}), ["_Arrivals.arrivals", "expected an object"]),
+    (_schedule({"arrivals": [{"instance_id": "a", "bundle_path": "a.json",
+                              "traffic": _TRAFFIC}]}),
+     ["_PathArrival", "'max_drop_ratio'"]),
+    (_profile_full({"grid": {"flow_count": "12"}}), ["FullProfileConfig.grid", "a list"]),
+    (_profile_full({"grid": {"flows": [1, 2]}}), ["FullProfileConfig.grid", "'flows'"]),
+    (_profile_full({"grid": {"flow_count": [1, 2]}, "contention_resources": {"memory": 1}}),
+     ["FullProfileConfig.contention_resources", "expected a list"]),
+    (lambda tmp, bundle: ["diagnose", "--bundle", str(bundle), "--out", str(tmp / "d.csv"),
+                          "--sweep", _write(tmp / "sweep.json",
+                                            {"attribute": "mtbr", "start": 0, "points": 3})],
+     ["_Sweep", "'stop'"]),
+    (_train_without_nf, ["_Manifest", "'nf'"]),
+    (_report_without_nic_count, ["_ScoredReport", "'nic_count'"]),
+    (_evaluate_on(b'{"points": [], "note": "\xff"}'), ["grid.json", "UTF-8"]),
+], ids=["grid-points-not-a-list", "levels-list", "accel-level-pair", "memory-level-nan",
+        "memory-level-negative", "arrival-not-an-object", "arrival-without-max-drop-ratio",
+        "full-grid-string", "full-grid-unknown-attribute", "full-resources-object",
+        "sweep-without-stop", "manifest-without-nf", "report-without-nic-count",
+        "not-utf8"])
+def test_bad_input_file_is_invalid_input(flowmonitor_bundle, tmp_path, capsys, argv, words):
+    assert main(argv(tmp_path, flowmonitor_bundle)) == 2
+    message = _invalid_input_message(capsys)
+    assert all(w in message for w in words), message
+
+
+def test_profile_rejects_nan_threshold(tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {"attributes": [["mtbr", 0, 1100]], "eps0": math.nan})
+    assert main(["profile", "--nf", "nat", "--strategy", "adaptive", "--config", cfg,
+                 "--out", str(tmp_path / "nat.jsonl")]) == 2
+    assert "eps0" in _invalid_input_message(capsys)
+
+
+def test_full_profile_then_train(tmp_path):
+    cfg = _write(tmp_path / "cfg.json", {
+        "grid": {"packet_size": [64, 1500], "flow_count": [1000, 50000, 100000, 200000, 400000]},
+        "draws_per_cell": 3, "seed": 2, "contention_resources": ["memory"]})
+    dataset = tmp_path / "nat.jsonl"
+    assert main(["profile", "--nf", "nat", "--strategy", "full", "--seed", "4",
+                 "--config", cfg, "--out", str(dataset)]) == 0
+    assert len(dataset.read_text().splitlines()) == 30
+    config = read_json(tmp_path / "nat.manifest.json")["config"]
+    assert config["seed"] == 4
+    assert config["grid"]["packet_size"] == [64.0, 1500.0]
+    bundle = tmp_path / "nat.bundle.json"
+    assert main(["train", "--nf", "nat", "--dataset", str(dataset), "--out", str(bundle)]) == 0
+    # train rebuilds the profiling box from the grid's extremes.
+    assert read_json(bundle)["solo_table"]["bounds"]["flow_count"] == [1000.0, 400000.0]
+
+
+_UNIT = st.floats(0.0, 1.0)
+_NUM = st.floats(-1e6, 1e6)
+_TEXT = st.text(max_size=5)
+_TRAFFIC_DOCS = st.fixed_dictionaries({
+    "flow_count": st.integers(1, 500_000), "packet_size": st.integers(64, 1500),
+    "mtbr": st.floats(0.0, 1100.0)})
+_LEVELS = st.fixed_dictionaries({}, optional={
+    "memory": st.one_of(_UNIT, st.lists(_UNIT, min_size=2, max_size=2)),
+    "regex_accel": _UNIT, "compression_accel": _UNIT})
+_POINTS = st.fixed_dictionaries({"traffic": _TRAFFIC_DOCS}, optional={"levels": _LEVELS})
+_ATTRIBUTE = st.sampled_from(sorted(ATTRIBUTE_RANGES))
+_SWEEP_TAIL = {"traffic": _TRAFFIC_DOCS, "levels": _LEVELS}
+
+#: Each new input type with a strategy for its wire documents.
+_INPUT_DOCS = {
+    _Point: _POINTS,
+    _Grid: st.fixed_dictionaries({"points": st.lists(_POINTS, max_size=3)}),
+    _Sweep: st.one_of(
+        st.fixed_dictionaries({"attribute": _ATTRIBUTE,
+                               "values": st.lists(_NUM, min_size=1, max_size=4)},
+                              optional=_SWEEP_TAIL),
+        st.fixed_dictionaries({"attribute": _ATTRIBUTE, "start": _NUM, "stop": _NUM,
+                               "points": st.integers(2, 5)}, optional=_SWEEP_TAIL)),
+    _PathArrival: st.fixed_dictionaries({
+        "instance_id": _TEXT, "bundle_path": _TEXT, "traffic": _TRAFFIC_DOCS,
+        "max_drop_ratio": st.floats(0.0, 1.0, exclude_min=True)}),
+    _Arrivals: st.fixed_dictionaries({
+        "arrivals": st.lists(st.dictionaries(_TEXT, st.integers()), max_size=3)}),
+    _ScoredReport: st.fixed_dictionaries({
+        "nic_count": st.integers(0, 9), "nf_count": st.integers(0, 9),
+        "violating_instances": st.lists(_TEXT, max_size=3)},
+        optional={"optimum_nic_count": st.integers(1, 9)}),
+    FullProfileConfig: st.fixed_dictionaries(
+        {"grid": st.dictionaries(_ATTRIBUTE, st.lists(_NUM, min_size=1, max_size=4),
+                                 min_size=1)},
+        optional={"draws_per_cell": st.integers(1, 3), "seed": st.integers(0, 2**32),
+                  "contention_resources": st.lists(st.sampled_from(["memory", "regex_accel"]),
+                                                   max_size=2)}),
+    _Manifest: st.fixed_dictionaries({
+        "nf": _TEXT, "strategy": st.sampled_from([s.value for s in Strategy]),
+        "samples_used": st.integers(0, 99), "pruned_attributes": st.lists(_TEXT),
+        "config": st.dictionaries(_TEXT, st.integers())}),
+}
+
+
+def _float_paths(doc, path=()):
+    if isinstance(doc, float):
+        yield path
+    elif isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _float_paths(value, (*path, key))
+
+
+def _with_nan(doc, path):
+    if not path:
+        return math.nan
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _with_nan(doc[path[0]], path[1:])
+    return copy
+
+
+@pytest.mark.parametrize("cls", list(_INPUT_DOCS), ids=lambda c: c.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_input_types_roundtrip_and_reject_nan(cls, data):
+    doc = data.draw(_INPUT_DOCS[cls])
+    value = cls.from_dict(doc)
+    again = cls.from_dict(json.loads(json.dumps(value.to_dict())))
+    assert again == value and again.to_dict() == value.to_dict()
+    for path in _float_paths(doc):
+        with pytest.raises(InvalidInputError):
+            cls.from_dict(_with_nan(doc, path))

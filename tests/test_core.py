@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from nicperf.core import (
 )
 from nicperf.predictor import PredictionResult
 from nicperf.profiler import ProfilingConfig
+from nicperf.simulator import SimulationResult
 
 
 def test_mape_exact_prediction():
@@ -165,3 +167,30 @@ _RESULT = {"throughput": 1.0, "t_solo": 2.0, "drops": {}, "stage_rates": {}}
 def test_codec_rejects_wrong_shape_naming_class_and_key(cls, doc, match):
     with pytest.raises(InvalidInputError, match=match):
         cls.from_dict(doc)
+
+
+_EMPTY_RESULT = {"per_nf_throughput": {}, "per_nf_counters": {},
+                 "per_nf_stage_throughput": {}, "bottleneck": {}}
+
+
+@pytest.mark.parametrize("cls,doc,match", [
+    (TrafficProfile, {"flow_count": 16000.7}, "TrafficProfile.flow_count: expected an integer"),
+    (TrafficProfile, json.loads('{"flow_count": 1e400}'), "TrafficProfile.flow_count: expected an"),
+    (TrafficProfile, {"flow_count": True}, "TrafficProfile.flow_count: expected an integer"),
+    (TrafficProfile, {"mtbr": "600"}, "TrafficProfile.mtbr: expected a number"),
+    (ProfilingConfig, {"attributes": _ATTRS, "quota": 40.9}, "ProfilingConfig.quota: expected an"),
+    (ProfilingConfig, {"attributes": _ATTRS, "seed": 2.5}, "ProfilingConfig.seed: expected an"),
+    (ProfilingConfig, {"attributes": [[{"a": 1}, 0, 1]]},
+     "ProfilingConfig.attributes: expected a string"),
+    (SimulationResult, {**_EMPTY_RESULT, "bottleneck": [["nat", "memory"]]},
+     "SimulationResult.bottleneck: expected an object"),
+], ids=["int-given-fraction", "int-given-overflow", "int-given-bool", "float-given-string",
+        "quota-fraction", "seed-fraction", "str-given-object", "dict-given-list"])
+def test_codec_scalars_are_not_coerced(cls, doc, match):
+    with pytest.raises(InvalidInputError, match=match):
+        cls.from_dict(doc)
+
+
+def test_codec_reads_integral_float_as_int():
+    flows = TrafficProfile.from_dict({"flow_count": 16000.0}).flow_count
+    assert flows == 16000 and type(flows) is int

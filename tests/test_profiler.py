@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nicperf.catalog import SimulatorRunner, get_nf
 from nicperf.core import InvalidInputError, ResourceKind
 from nicperf.profiler import (
     FULL_PROFILE_CAP,
+    FullProfileConfig,
     ProfilingConfig,
     QuotaExhaustedError,
     Strategy,
@@ -90,12 +93,16 @@ def test_full_profile_grid_and_cap():
     runner = runner_for("iptunnel")
     grid = {"flow_count": [1.0, 250_000.0, 500_000.0],
             "packet_size": [64.0, 1500.0]}
-    ds = full_profile("iptunnel", grid, runner)
+    ds = full_profile("iptunnel", FullProfileConfig(grid), runner)
     assert ds.samples_used == 6
     assert ds.strategy is Strategy.FULL
-    with pytest.raises(InvalidInputError):
-        full_profile("iptunnel",
-                     {"flow_count": list(range(FULL_PROFILE_CAP + 1))}, runner)
+    for bad in ({"grid": {"flow_count": list(range(FULL_PROFILE_CAP + 1))}},
+                {"grid": {"flow_count": [1.0]}, "draws_per_cell": 0},
+                {"grid": {"flows": [1.0]}},
+                {"grid": {"mtbr": [1.0, math.inf]}},
+                {"grid": {"mtbr": []}}):
+        with pytest.raises(InvalidInputError):
+            FullProfileConfig(**bad)
 
 
 def test_dataset_save_load_roundtrip(tmp_path):
@@ -124,9 +131,15 @@ def test_config_validation_and_roundtrip():
     with pytest.raises(InvalidInputError):
         ProfilingConfig(attributes=())
     with pytest.raises(InvalidInputError):
-        ProfilingConfig(attributes=(("x", 5.0, 1.0),))
+        ProfilingConfig(attributes=(("mtbr", 5.0, 1.0),))
     with pytest.raises(InvalidInputError):
-        ProfilingConfig(attributes=(("x", 0.0, 1.0),), quota=5, m=10)
+        ProfilingConfig(attributes=(("mtbr", 0.0, 1.0),), quota=5, m=10)
+    for bad in ((("flows", 0.0, 1.0),), (("mtbr", 0.0, math.inf),)):
+        with pytest.raises(InvalidInputError):
+            ProfilingConfig(attributes=bad)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            ProfilingConfig(attributes=(("mtbr", 0.0, 1.0),), eps1=eps)
     cfg = default_config(quota=77, eps0=100.0,
                          contention_resources=(ResourceKind.MEMORY,
                                                ResourceKind.REGEX_ACCEL))
