@@ -89,26 +89,24 @@ class NfInstance(Codec):
     sla: SlaSpec
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "bundle": self.predictor.to_dict(),
-            "traffic": self.traffic.to_dict(),
-            "max_drop_ratio": self.sla.max_drop_ratio,
-        }
+        return _NfInstanceWire(self.instance_id, self.predictor.to_dict(), self.traffic,
+                               self.sla.max_drop_ratio).to_dict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "NfInstance":
-        if not isinstance(d, dict):
-            raise InvalidInputError(f"NfInstance: expected an object, got {d!r}")
-        for key in ("instance_id", "bundle", "traffic", "max_drop_ratio"):
-            if key not in d:
-                raise InvalidInputError(f"NfInstance: missing key {key!r}")
-        return cls(
-            instance_id=d["instance_id"],
-            predictor=NfPredictor.from_dict(d["bundle"]),
-            traffic=TrafficProfile.from_dict(d["traffic"]),
-            sla=SlaSpec(d["max_drop_ratio"]),
-        )
+        w = _NfInstanceWire.from_dict(d)
+        return cls(w.instance_id, NfPredictor.from_dict(w.bundle), w.traffic,
+                   SlaSpec(w.max_drop_ratio))
+
+
+@dataclasses.dataclass(frozen=True)
+class _NfInstanceWire(Codec):
+    """An NfInstance as ``to_dict`` writes it, its bundle still a document."""
+
+    instance_id: str
+    bundle: dict
+    traffic: TrafficProfile
+    max_drop_ratio: float
 
 
 @dataclasses.dataclass

@@ -314,7 +314,13 @@ def _evaluator(bundle_text: str) -> tuple[NfPredictor, SimulatorRunner]:
 
 def _evaluate_point(bundle: NfPredictor, runner: SimulatorRunner,
                     point: _Point) -> tuple[float, float]:
-    """One grid point -> (actual, predicted)."""
+    """One grid point -> (actual, predicted).
+
+    The traffic is checked against the bundle's profiled domain before
+    the simulator runs, since a simulation outside it need not return
+    (``mtbr`` 1e300 under regex contention does not).
+    """
+    bundle.solo_table.check_bounds(point.traffic)
     sample = runner.sample("eval", point.traffic, point.levels)
     desc = _bench_descriptor(bundle, point.levels, sample.competitor_counters)
     pred = bundle.predict(point.traffic, desc)

@@ -15,6 +15,14 @@ on ``feature[i]`` at ``threshold[i]`` and ``left[i]``/``right[i]`` are its
 children; a leaf has feature -1, children -1 and its output in
 ``value[i]``.
 
+The split search is the exact greedy algorithm on column blocks sorted
+once (XGBoost; Chen & Guestrin, KDD 2016, §4.1): ``train`` argsorts each
+feature column once, stably, and every node of every tree takes its rows'
+sorted order from that block instead of sorting again.  Each node searches
+all features in one vectorised pass, with the same candidates, prefix sums
+and tie-breaks as a per-feature search that sorts the node's rows, so the
+trees are the same to the bit (``_best_split`` has the details).
+
 In memory the ensemble exists only in compiled form: flat node arrays
 holding every tree back to back, the layout QuickScorer (Lucchese et al.,
 SIGIR 2015) walks.  Tree t starts at node ``roots[t]``; node i holds
@@ -102,82 +110,109 @@ class GbrHyperParams(Codec):
     seed: int = 0
 
 
+_QS = np.linspace(0, 1, MAX_BINS + 1)[1:-1]
+
+
 def _best_split(
-    x: np.ndarray, residual: np.ndarray, min_leaf: int
+    xT: np.ndarray, order: np.ndarray, rows: np.ndarray, residual: np.ndarray,
+    min_leaf: int,
 ) -> tuple[int, float, np.ndarray] | None:
-    """Best (feature, threshold, left mask) by SSE gain.
+    """Best (feature, threshold, left mask over ``rows``) by SSE gain.
 
     An exact search over the midpoints between the node's distinct values
     of each feature, or over at most MAX_BINS - 1 quantile cut points when
     a feature has more than MAX_BINS distinct values.
+
+    ``xT`` is the feature-major training matrix and ``order`` the stable
+    argsort of each of its rows, both made once per ``train``; ``rows`` are
+    the node's rows in ascending order.  Keeping the node's entries of
+    ``order`` gives the (features x rows) block of each feature's sorted
+    rows, equal to a stable argsort of the node's rows, with ties in row
+    order.  All features are then searched at once:
+
+    - the midpoint ``(a + b) / 2`` at a change point a < b of a sorted row
+      sends the j + 1 values up to a left.  When it rounds onto b (a and b
+      adjacent floats) or overflows to +-inf, ``searchsorted`` counts;
+    - the quantile cut points of every feature with more distinct values
+      come from one ``np.quantile`` over the block, then ``np.unique`` per
+      feature;
+    - the gains of all candidates, in feature order, go through one
+      ``argmax``.  Its first maximum is the first maximum of the first
+      feature to reach it, which is a per-feature search's choice.  A gain
+      is NaN only when the node's total or its square overflows, and then
+      none beats the floor in either search.
     """
-    n, n_feat = x.shape
-    total_sum = residual.sum()
+    n_feat, n_all = xT.shape
+    n = len(rows)
+    member = np.zeros(n_all, dtype=bool)
+    member[rows] = True
+    idx = order[member[order]].reshape(n_feat, n)
+    xs = np.take_along_axis(xT, idx, axis=1)
+    cum = np.cumsum(residual[idx], axis=1)
+    total_sum = residual[rows].sum()
     base = total_sum**2 / n
-    best_gain = 1e-12
-    best = None
-    for f in range(n_feat):
-        col = x[:, f]
-        # Candidate thresholds from quantile bin edges of this node's rows.
-        uniq = np.unique(col)
-        if len(uniq) < 2:
-            continue
-        if len(uniq) > MAX_BINS:
-            qs = np.quantile(col, np.linspace(0, 1, MAX_BINS + 1)[1:-1])
-            cands = np.unique(qs)
-        else:
-            cands = (uniq[:-1] + uniq[1:]) / 2.0
-        order = np.argsort(col, kind="stable")
-        col_sorted = col[order]
-        res_sorted = residual[order]
-        cum = np.cumsum(res_sorted)
-        # Rows with value <= threshold go left.
-        counts = np.searchsorted(col_sorted, cands, side="right")
-        ok = (counts >= min_leaf) & (counts <= n - min_leaf)
-        if not ok.any():
-            continue
-        counts = counts[ok]
-        cands = cands[ok]
-        s_left = cum[counts - 1]
-        gains = s_left**2 / counts + (total_sum - s_left) ** 2 / (n - counts) - base
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain:
-            best_gain = float(gains[i])
-            best = (f, float(cands[i]), int(counts[i]))
-    if best is None:
+
+    change = xs[:, 1:] != xs[:, :-1]
+    few = change.sum(axis=1) < MAX_BINS
+    feat, j = np.nonzero(change & few[:, None])
+    a, b = xs[feat, j], xs[feat, j + 1]
+    cands = (a + b) / 2.0
+    counts = j + 1
+    for i in np.flatnonzero(~((a <= cands) & (cands < b))):
+        counts[i] = xs[feat[i]].searchsorted(cands[i], side="right")
+    many = np.flatnonzero(~few)
+    if many.size:
+        qs = np.quantile(xs[many], _QS, axis=1).T
+        uniq = [np.unique(q) for q in qs]
+        feat = np.concatenate([feat, np.repeat(many, [len(u) for u in uniq])])
+        cands = np.concatenate([cands, *uniq])
+        counts = np.concatenate(
+            [counts, *(xs[f].searchsorted(u, side="right") for f, u in zip(many, uniq))])
+        by_feat = np.argsort(feat, kind="stable")
+        feat, cands, counts = feat[by_feat], cands[by_feat], counts[by_feat]
+
+    # Rows with value <= threshold go left.
+    ok = (counts >= min_leaf) & (counts <= n - min_leaf)
+    feat, cands, counts = feat[ok], cands[ok], counts[ok]
+    if not feat.size:
         return None
-    f, thr, _ = best
-    return f, thr, x[:, f] <= thr
+    s_left = cum[feat, counts - 1]
+    gains = s_left**2 / counts + (total_sum - s_left) ** 2 / (n - counts) - base
+    i = int(np.argmax(gains))
+    if not gains[i] > 1e-12:
+        return None
+    f, thr = int(feat[i]), float(cands[i])
+    return f, thr, xT[f, rows] <= thr
 
 
 _TREE_KEYS = ("feature", "threshold", "left", "right", "value")
 
 
 def _fit_tree(
-    x: np.ndarray, residual: np.ndarray, max_depth: int, min_leaf: int,
+    xT: np.ndarray, order: np.ndarray, residual: np.ndarray, max_depth: int,
+    min_leaf: int,
 ) -> tuple[dict, np.ndarray]:
-    """Grows one wire-form tree on every row of x.
+    """Grows one wire-form tree on every training row (see ``_best_split``).
 
     Also returns the value of the leaf each row reaches.  The stack pops a
     node's left subtree before its right one, so nodes are numbered in
     pre-order.
     """
     tree = {k: [] for k in _TREE_KEYS}
-    reached = np.empty(len(x))
+    reached = np.empty(len(residual))
     # (rows, depth, (parent, "left" or "right"), or None for the root)
-    stack = [(np.arange(len(x)), 0, None)]
+    stack = [(np.arange(len(residual)), 0, None)]
     while stack:
         rows, depth, edge = stack.pop()
         node = len(tree["feature"])
         if edge is not None:
             parent, side = edge
             tree[side][parent] = node
-        res = residual[rows]
         split = None
         if depth < max_depth and len(rows) >= 2 * min_leaf:
-            split = _best_split(x[rows], res, min_leaf)
+            split = _best_split(xT, order, rows, residual, min_leaf)
         if split is None:
-            feat, thr, val = -1, 0.0, float(res.mean())
+            feat, thr, val = -1, 0.0, float(residual[rows].mean())
             reached[rows] = val
         else:
             feat, thr, left_mask = split
@@ -326,10 +361,13 @@ def train(samples: list[ThroughputSample]) -> GbrModel:
         warnings.warn("constant training target; model is constant", DegenerateDataWarning)
         return GbrModel(base_score=base, trees=[], hyper=hyper)
 
+    xT = np.ascontiguousarray(x.T)
+    order = np.argsort(xT, axis=1, kind="stable")
     current = np.full(len(y), base)
     trees: list[dict] = []
     for _ in range(hyper.n_trees):
-        tree, reached = _fit_tree(x, y - current, hyper.max_depth, hyper.min_samples_leaf)
+        tree, reached = _fit_tree(xT, order, y - current, hyper.max_depth,
+                                  hyper.min_samples_leaf)
         current = current + hyper.learning_rate * reached
         trees.append(tree)
     return GbrModel(base_score=base, trees=trees, hyper=hyper)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nicperf.catalog import ATTRIBUTE_RANGES
+from nicperf.catalog import ATTRIBUTE_RANGES, SimulatorRunner
 from nicperf.cli import (
     _Arrivals,
     _Grid,
@@ -345,6 +345,26 @@ def test_predict_rejects_short_bounds(flowmonitor_bundle, tmp_path, capsys):
     assert "bounds" in _invalid_input_message(capsys)
 
 
+def test_evaluate_checks_domain_before_simulating(flowmonitor_bundle, tmp_path, capsys,
+                                                  monkeypatch):
+    # Outside the profiled domain the simulator need not return; the point
+    # must fail before it runs.
+    def sample(*args):
+        raise AssertionError("simulated an out-of-domain point")
+
+    monkeypatch.setattr(SimulatorRunner, "sample", sample)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"points": [
+        {"traffic": {"flow_count": 16000, "packet_size": 1500, "mtbr": 1e300},
+         "levels": {"memory": [0.5, 0.5], "regex_accel": 0.3}}]}))
+    rc = main(["evaluate", "--bundle", str(flowmonitor_bundle),
+               "--testgrid", str(grid), "--out", str(tmp_path / "eval.csv")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "out-of-domain"
+    assert err["message"].startswith("mtbr=1e+300 outside the profiled range")
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -412,6 +432,12 @@ def _report_without_nic_count(tmp, bundle):
     (_schedule({"arrivals": [{"instance_id": "a", "bundle_path": "a.json",
                               "traffic": _TRAFFIC}]}),
      ["_PathArrival", "'max_drop_ratio'"]),
+    (_schedule({"arrivals": [{"instance_id": "a", "bundle": {}, "traffic": _TRAFFIC,
+                              "max_drop_ratio": "0.5"}]}),
+     ["NfInstance", "max_drop_ratio", "expected a number"]),
+    (_schedule({"arrivals": [{"instance_id": 7, "bundle": {}, "traffic": _TRAFFIC,
+                              "max_drop_ratio": 0.5}]}),
+     ["NfInstance", "instance_id", "expected a string"]),
     (_profile_full({"grid": {"flow_count": "12"}}), ["FullProfileConfig.grid", "a list"]),
     (_profile_full({"grid": {"flows": [1, 2]}}), ["FullProfileConfig.grid", "'flows'"]),
     (_profile_full({"grid": {"flow_count": [1, 2]}, "contention_resources": {"memory": 1}}),
@@ -425,6 +451,7 @@ def _report_without_nic_count(tmp, bundle):
     (_evaluate_on(b'{"points": [], "note": "\xff"}'), ["grid.json", "UTF-8"]),
 ], ids=["grid-points-not-a-list", "levels-list", "accel-level-pair", "memory-level-nan",
         "memory-level-negative", "arrival-not-an-object", "arrival-without-max-drop-ratio",
+        "inline-arrival-string-ratio", "inline-arrival-numeric-id",
         "full-grid-string", "full-grid-unknown-attribute", "full-resources-object",
         "sweep-without-stop", "manifest-without-nf", "report-without-nic-count",
         "not-utf8"])

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nicperf.core import (
@@ -13,10 +13,13 @@ from nicperf.core import (
     TrafficProfile,
 )
 from nicperf.mem_model import (
+    _TREE_KEYS,
     FEATURE_NAMES,
+    MAX_BINS,
     DegenerateDataWarning,
     GbrHyperParams,
     GbrModel,
+    _fit_tree,
     feature_vector,
     predict,
     train,
@@ -295,3 +298,152 @@ def test_model_foreign_feature_order_rejected(order):
     doc["feature_order"] = order
     with pytest.raises(InvalidInputError, match="feature_order"):
         GbrModel.from_dict(doc)
+
+
+# -- split search on pre-sorted columns against the per-node search -------------
+
+def _reference_best_split(x, residual, min_leaf):
+    """Best (feature, threshold, left mask), sorting the node's rows of every
+    feature again: the search ``_best_split`` must reproduce exactly."""
+    n, n_feat = x.shape
+    total_sum = residual.sum()
+    base = total_sum**2 / n
+    best_gain = 1e-12
+    best = None
+    for f in range(n_feat):
+        col = x[:, f]
+        uniq = np.unique(col)
+        if len(uniq) < 2:
+            continue
+        if len(uniq) > MAX_BINS:
+            qs = np.quantile(col, np.linspace(0, 1, MAX_BINS + 1)[1:-1])
+            cands = np.unique(qs)
+        else:
+            cands = (uniq[:-1] + uniq[1:]) / 2.0
+        order = np.argsort(col, kind="stable")
+        col_sorted = col[order]
+        cum = np.cumsum(residual[order])
+        counts = np.searchsorted(col_sorted, cands, side="right")
+        ok = (counts >= min_leaf) & (counts <= n - min_leaf)
+        if not ok.any():
+            continue
+        counts = counts[ok]
+        cands = cands[ok]
+        s_left = cum[counts - 1]
+        gains = s_left**2 / counts + (total_sum - s_left) ** 2 / (n - counts) - base
+        i = int(np.argmax(gains))
+        if gains[i] > best_gain:
+            best_gain = float(gains[i])
+            best = (f, float(cands[i]))
+    if best is None:
+        return None
+    f, thr = best
+    return f, thr, x[:, f] <= thr
+
+
+def _reference_fit_tree(x, residual, max_depth, min_leaf):
+    tree = {k: [] for k in _TREE_KEYS}
+    reached = np.empty(len(x))
+    stack = [(np.arange(len(x)), 0, None)]
+    while stack:
+        rows, depth, edge = stack.pop()
+        node = len(tree["feature"])
+        if edge is not None:
+            parent, side = edge
+            tree[side][parent] = node
+        res = residual[rows]
+        split = None
+        if depth < max_depth and len(rows) >= 2 * min_leaf:
+            split = _reference_best_split(x[rows], res, min_leaf)
+        if split is None:
+            feat, thr, val = -1, 0.0, float(res.mean())
+            reached[rows] = val
+        else:
+            feat, thr, left_mask = split
+            val = 0.0
+            stack.append((rows[~left_mask], depth + 1, (node, "right")))
+            stack.append((rows[left_mask], depth + 1, (node, "left")))
+        for key, v in zip(_TREE_KEYS, (feat, thr, -1, -1, val)):
+            tree[key].append(v)
+    return tree, reached
+
+
+def _sorted_fit_tree(x, residual, max_depth, min_leaf):
+    """``_fit_tree`` on the column blocks ``train`` sorts once."""
+    xT = np.ascontiguousarray(x.T)
+    return _fit_tree(xT, np.argsort(xT, axis=1, kind="stable"), residual, max_depth, min_leaf)
+
+
+def _column(rng, kind, k):
+    if kind == "constant":
+        return np.full(k, rng.normal())
+    if kind == "ties":
+        return rng.choice(rng.normal(size=rng.integers(2, 6)), k)
+    if kind == "adjacent":
+        # Neighbouring floats, where (a + b) / 2 can round onto b;
+        # 5e-324 is the smallest subnormal.
+        a = rng.choice([1.0, 3.7e5, -2.5e-3, 5e-324, 1e-310])
+        return a + rng.integers(0, 4, k) * np.spacing(a)
+    if kind == "huge":
+        # a + b overflows to +-inf for two values of one sign.
+        return rng.choice([-1.0, 1.0], k) * rng.uniform(1.6e308, 1.79e308, k)
+    if kind == "few":  # up to just past MAX_BINS distinct values
+        return rng.integers(0, rng.integers(2, MAX_BINS + 3), k).astype(float)
+    return rng.normal(size=k) * 10.0 ** rng.integers(-3, 9)  # "many" distinct
+
+
+_KINDS = ("constant", "ties", "adjacent", "huge", "few", "many")
+
+
+@st.composite
+def _training_block(draw):
+    k = draw(st.integers(2, 160))
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=len(FEATURE_NAMES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.stack([_column(rng, kind, k) for kind in kinds], axis=1)
+    residual = {
+        "normal": lambda: rng.normal(size=k) * 1e5,
+        "tied": lambda: rng.choice([-1.0, 0.0, 2.0], k),
+        # Squares overflow, so gains can be inf - inf = NaN.
+        "huge": lambda: rng.normal(size=k) * 1e155,
+    }[draw(st.sampled_from(["normal", "tied", "huge"]))]()
+    return x, residual, draw(st.integers(1, 5)), draw(st.integers(1, max(1, k // 2)))
+
+
+# Feature 0 has 100 distinct values, so its cut points are quantiles;
+# feature 1 has two.  Both split the rows 50/50 with the same gain, and
+# the lower feature wins the tie.
+_QUANTILE_TIE = (np.stack([np.arange(100.0), np.repeat([0.0, 1.0], 50)], axis=1),
+                 np.repeat([-1.0, 1.0], 50), 1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_training_block())
+@example(_QUANTILE_TIE)
+def test_sorted_split_search_matches_reference(case):
+    x, residual, max_depth, min_leaf = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        tree, reached = _sorted_fit_tree(x, residual, max_depth, min_leaf)
+        ref_tree, ref_reached = _reference_fit_tree(x, residual, max_depth, min_leaf)
+    assert json.dumps(tree) == json.dumps(ref_tree)
+    assert reached.tobytes() == ref_reached.tobytes()
+
+
+def _reference_train(samples):
+    x = np.array([feature_vector(s.competitor_counters, s.traffic) for s in samples])
+    y = np.array([s.observed_throughput for s in samples])
+    hyper = GbrHyperParams()
+    base = float(y.mean())
+    current = np.full(len(y), base)
+    trees = []
+    for _ in range(hyper.n_trees):
+        tree, reached = _reference_fit_tree(x, y - current, hyper.max_depth,
+                                            hyper.min_samples_leaf)
+        current = current + hyper.learning_rate * reached
+        trees.append(tree)
+    return GbrModel(base_score=base, trees=trees, hyper=hyper)
+
+
+def test_train_matches_reference_byte_for_byte():
+    rows = _synthetic_rows(400)
+    assert _to_json(train(rows)) == _to_json(_reference_train(rows))
