@@ -143,32 +143,6 @@ class PlacementStrategy(str, enum.Enum):
 # Group prediction
 # --------------------------------------------------------------------------
 
-def _group_descriptor(
-    target: NfInstance, others: list[NfInstance], throughputs: dict,
-    feeds: dict, wss: dict,
-) -> ContentionDescriptor:
-    # The miss fraction every NF sees depends on the combined working set
-    # of the whole NIC, target included.
-    total_wss = sum(wss[inst.instance_id] for inst in [target] + others)
-    counters = ZERO_COUNTERS
-    for other in others:
-        counters = counters + other.predictor.footprint.counters(
-            wss[other.instance_id], throughputs[other.instance_id],
-            total_wss=total_wss,
-        )
-    accel = {}
-    for kind in target.predictor.accel_models:
-        comps = []
-        for other in others:
-            params = other.predictor.accel_models.get(kind)
-            if params is None:
-                continue
-            attr = other.traffic.attribute(ACCEL_ATTRIBUTE[kind])
-            comps.append((params, attr, feeds[other.instance_id]))
-        accel[kind] = tuple(comps)
-    return ContentionDescriptor(counters=counters, accel=accel)
-
-
 def predict_group(instances: list[NfInstance]) -> dict:
     """Predicted throughput per instance when co-located on one NIC.
 
@@ -179,33 +153,60 @@ def predict_group(instances: list[NfInstance]) -> dict:
     rate).  Returns instance_id -> PredictionResult; raises
     ConvergenceError if the fixed point does not settle within
     ``_GROUP_MAX_ITER`` iterations.
+
+    What the fixed point does not change is computed once per call: each
+    instance's solo throughput and own working set; for each target, the
+    NIC's combined working set (the target's, then its competitors' in
+    group order), each competitor's miss fraction at that total, and,
+    for each of the target's accelerators, the ``(params, attribute
+    value)`` of the competitors using it.  Each iteration only scales
+    the competitors' footprints by their current throughput, pairs the
+    accelerator competitors with their current feeds, and predicts.
     """
     if not instances:
         return {}
     ids = [inst.instance_id for inst in instances]
     if len(set(ids)) != len(ids):
         raise InvalidInputError("instance ids must be unique within a group")
-    thr = {
-        inst.instance_id: inst.predictor.t_solo(inst.traffic)
-        for inst in instances
-    }
-    feeds = dict(thr)
-    wss = {inst.instance_id: inst.predictor.footprint.wss(inst.traffic)
-           for inst in instances}
+    thr = [inst.predictor.t_solo(inst.traffic) for inst in instances]
+    feeds = list(thr)
+    wss = [inst.predictor.footprint.wss(inst.traffic) for inst in instances]
+    # Per target: (footprint, own wss, miss fraction, index) of each
+    # competitor, and kind -> (params, attribute value, index) of each
+    # competitor on that accelerator.
+    fixed = []
+    for i, inst in enumerate(instances):
+        others = [j for j in range(len(instances)) if j != i]
+        # Every NF's miss fraction depends on the combined working set of
+        # the whole NIC, target included.
+        total_wss = sum(wss[j] for j in [i] + others)
+        mem = [(instances[j].predictor.footprint, wss[j],
+                instances[j].predictor.footprint.miss_fraction(total_wss), j)
+               for j in others]
+        accel = {
+            kind: [(instances[j].predictor.accel_models[kind],
+                    instances[j].traffic.attribute(ACCEL_ATTRIBUTE[kind]), j)
+                   for j in others if kind in instances[j].predictor.accel_models]
+            for kind in inst.predictor.accel_models
+        }
+        fixed.append((mem, accel))
     results: dict[str, PredictionResult] = {}
     for _ in range(_GROUP_MAX_ITER):
         worst = 0.0
-        for inst in instances:
-            others = [o for o in instances if o.instance_id != inst.instance_id]
-            desc = _group_descriptor(inst, others, thr, feeds, wss)
+        for i, (inst, (mem, accel)) in enumerate(zip(instances, fixed)):
+            counters = ZERO_COUNTERS
+            for footprint, own, frac, j in mem:
+                counters = counters + footprint.counters(own, thr[j], frac)
+            desc = ContentionDescriptor(counters, {
+                kind: tuple((params, attr, feeds[j]) for params, attr, j in comps)
+                for kind, comps in accel.items()
+            })
             res = inst.predictor.predict(inst.traffic, desc)
             results[inst.instance_id] = res
-            old = thr[inst.instance_id]
+            old = thr[i]
             new = (1 - _GROUP_DAMPING) * old + _GROUP_DAMPING * res.throughput
-            thr[inst.instance_id] = new
-            feeds[inst.instance_id] = res.stage_rates.get(
-                ResourceKind.MEMORY, new
-            )
+            thr[i] = new
+            feeds[i] = res.stage_rates.get(ResourceKind.MEMORY, new)
             if old > 0:
                 worst = max(worst, abs(new - old) / old)
         if worst < _GROUP_TOL:

@@ -33,6 +33,12 @@ the leaf itself.  A row steps to ``children[i, 0]`` when
 NaN goes right.  ``depth`` is the depth of the deepest tree: ``predict``
 walks every tree at once for exactly that many steps, which leaves the row
 at its leaf in every tree, since a leaf reached early steps onto itself.
+``feature``, ``children`` and ``roots`` are ``np.intp``, numpy's index
+type: every step of the walk indexes with them, and narrower integers
+would be converted to ``intp`` again on each step.  Against ``int16``
+features and ``int32`` children that costs 14 bytes a node (about 65 KB
+for a 4.6k-node model) and nothing on the wire, which writes the indices
+as Python ints.
 
 A prediction is ``base + lr*v_1 + ... + lr*v_T`` for the leaf values v_t
 of trees 1..T, added left to right: the last element of a sequential
@@ -281,8 +287,8 @@ def _compile(trees: list, n_features: int) -> tuple:
         frontier = np.unique(children[frontier])
         frontier = frontier[~leaf[frontier]]
         depth += 1
-    return (np.where(leaf, -1, feature).astype(np.int16), threshold, value,
-            children.astype(np.int32), roots.astype(np.int32), depth)
+    return (np.where(leaf, -1, feature).astype(np.intp), threshold, value,
+            children.astype(np.intp), roots.astype(np.intp), depth)
 
 
 def _tree_of(roots: np.ndarray, node: int) -> int:

@@ -244,16 +244,19 @@ class _Footprint(Codec):
     def wss(self, traffic: TrafficProfile) -> float:
         return self.wss_axis.at(traffic.flow_count)
 
+    def miss_fraction(self, total_wss: float) -> float:
+        """Share of cache references that go to main memory on a NIC whose
+        combined working set is ``total_wss``."""
+        if self.miss_curve is not None:
+            return self.miss_curve.at(total_wss)
+        return self.mem_frac
+
     def counters(self, wss: float, throughput: float,
-                 total_wss: float) -> CounterSnapshot:
-        """Counters at ``throughput`` with own working set ``wss`` on a NIC
-        whose combined working set is ``total_wss``."""
+                 frac: float) -> CounterSnapshot:
+        """Counters at ``throughput`` with own working set ``wss`` and miss
+        fraction ``frac`` (see ``miss_fraction``)."""
         car = self.car_per_pkt * throughput
         irt = self.irt_per_pkt * throughput
-        if self.miss_curve is not None:
-            frac = self.miss_curve.at(total_wss)
-        else:
-            frac = self.mem_frac
         mem = car * frac
         return CounterSnapshot(
             ipc=irt / 5e9,

@@ -65,6 +65,10 @@ WARMUP_FRACTION = 0.1
 STABILITY_TOL = 0.005
 #: Round-robin cycles per accelerator run (sets the run's horizon).
 SIM_CYCLES = 2500
+#: Highest mtbr a scenario accepts: one regex match per payload byte,
+#: with MB = 10**6 bytes.  Request times grow with mtbr, and a round-robin
+#: run under a far larger one would not finish.
+_MAX_MTBR = 1e6
 
 
 class ConvergenceError(RuntimeError):
@@ -340,6 +344,12 @@ class ContentionScenario(Codec):
         names = [spec.name for spec, _ in self.nfs]
         if len(set(names)) != len(names):
             raise InvalidInputError("NF names within a scenario must be unique")
+        for spec, traffic in self.nfs:
+            if traffic.mtbr > _MAX_MTBR:
+                raise InvalidInputError(
+                    f"{spec.name}: mtbr must be at most {_MAX_MTBR:g} (one match "
+                    f"per payload byte), got {traffic.mtbr:g}"
+                )
         object.__setattr__(self, "nfs", tuple((s, t) for s, t in self.nfs))
 
     # On the wire each co-located NF is a {"spec", "traffic"} object.

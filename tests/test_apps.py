@@ -1,7 +1,11 @@
+import dataclasses
 import gc
+import math
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicperf import apps
 from nicperf.apps import (
@@ -21,11 +25,12 @@ from nicperf.apps import (
 )
 from nicperf.core import (
     DEFAULT_TRAFFIC,
+    ZERO_COUNTERS,
     InvalidInputError,
     ResourceKind,
     TrafficProfile,
 )
-from nicperf.predictor import ContentionDescriptor
+from nicperf.predictor import ACCEL_ATTRIBUTE, ContentionDescriptor
 from nicperf.simulator import ConvergenceError
 
 
@@ -104,6 +109,114 @@ def test_predict_group_consistency(bundle_cache):
     with pytest.raises(InvalidInputError):
         predict_group([insts[0], insts[0]])
     assert predict_group([]) == {}
+
+
+def _reference_descriptor(target, others, throughputs, feeds, wss):
+    """The target's descriptor, rebuilt from scratch for one iteration."""
+    total_wss = sum(wss[inst.instance_id] for inst in [target] + others)
+    counters = ZERO_COUNTERS
+    for other in others:
+        footprint = other.predictor.footprint
+        counters = counters + footprint.counters(
+            wss[other.instance_id], throughputs[other.instance_id],
+            footprint.miss_fraction(total_wss),
+        )
+    accel = {}
+    for kind in target.predictor.accel_models:
+        comps = []
+        for other in others:
+            params = other.predictor.accel_models.get(kind)
+            if params is None:
+                continue
+            attr = other.traffic.attribute(ACCEL_ATTRIBUTE[kind])
+            comps.append((params, attr, feeds[other.instance_id]))
+        accel[kind] = tuple(comps)
+    return ContentionDescriptor(counters=counters, accel=accel)
+
+
+def _reference_predict_group(instances):
+    """predict_group with every competitor input recomputed in every
+    iteration."""
+    thr = {inst.instance_id: inst.predictor.t_solo(inst.traffic)
+           for inst in instances}
+    feeds = dict(thr)
+    wss = {inst.instance_id: inst.predictor.footprint.wss(inst.traffic)
+           for inst in instances}
+    results = {}
+    for _ in range(apps._GROUP_MAX_ITER):
+        worst = 0.0
+        for inst in instances:
+            others = [o for o in instances if o.instance_id != inst.instance_id]
+            desc = _reference_descriptor(inst, others, thr, feeds, wss)
+            res = inst.predictor.predict(inst.traffic, desc)
+            results[inst.instance_id] = res
+            old = thr[inst.instance_id]
+            new = (1 - apps._GROUP_DAMPING) * old + apps._GROUP_DAMPING * res.throughput
+            thr[inst.instance_id] = new
+            feeds[inst.instance_id] = res.stage_rates.get(ResourceKind.MEMORY, new)
+            if old > 0:
+                worst = max(worst, abs(new - old) / old)
+        if worst < apps._GROUP_TOL:
+            return results
+    raise ConvergenceError("reference fixed point did not converge")
+
+
+#: Bundles for drawn groups: memory-only NFs, and NFs on the regex and the
+#: compression accelerator.
+_GROUP_BUNDLES = (("iptunnel", 800), ("flowstats", 800), ("flowmonitor", 800),
+                  ("ipcomp", 200))
+
+
+@st.composite
+def _group(draw, bundle_cache):
+    """1-4 instances, with traffic inside each bundle's profiled bounds."""
+    picks = draw(st.lists(st.sampled_from(_GROUP_BUNDLES), min_size=1, max_size=4))
+    group = []
+    for k, (name, quota) in enumerate(picks):
+        predictor = bundle_cache(name, quota)
+        values = {}
+        for attr, (lo, hi) in predictor.solo_table.bounds.items():
+            if attr == "mtbr":
+                values[attr] = draw(st.floats(lo, hi))
+            else:
+                values[attr] = draw(st.integers(math.ceil(lo), math.floor(hi)))
+        group.append(NfInstance(f"{name}-{k}", predictor,
+                                TrafficProfile(**values), SlaSpec(0.5)))
+    return group
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_predict_group_matches_reference(bundle_cache, data):
+    group = data.draw(_group(bundle_cache))
+    try:
+        want = _reference_predict_group(group)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            predict_group(group)
+        return
+    got = predict_group(group)
+    assert list(got) == list(want)
+    for key, res in got.items():
+        for field in dataclasses.fields(res):
+            assert getattr(res, field.name) == getattr(want[key], field.name), \
+                (key, field.name)
+
+
+def test_predict_group_checks_each_competitor_counter(bundle_cache):
+    """A competitor whose footprint gives a negative counter is rejected,
+    even when another competitor's counters would hide it in the sum."""
+    good = bundle_cache("iptunnel")
+    bad = dataclasses.replace(
+        good, footprint=dataclasses.replace(good.footprint, car_per_pkt=-1.0))
+    traffic = TrafficProfile(flow_count=100)
+    group = [NfInstance("target", good, traffic, SlaSpec(0.5)),
+             NfInstance("bad", bad, traffic, SlaSpec(0.5)),
+             NfInstance("heavy", good, traffic, SlaSpec(0.5))]
+    # The sum of the two competitors' cache references is positive.
+    assert good.footprint.car_per_pkt > 1.0
+    with pytest.raises(InvalidInputError, match="counter l2crd"):
+        predict_group(group)
 
 
 def test_unconverged_group_does_not_meet_slas(bundle_cache, monkeypatch):

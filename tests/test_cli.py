@@ -109,6 +109,25 @@ def test_simulate_rejects_nf_entry_not_an_object(tmp_path, capsys):
     assert "ContentionScenario" in _invalid_input_message(capsys)
 
 
+def test_simulate_rejects_mtbr_above_one_match_per_byte(tmp_path, capsys, monkeypatch):
+    # The check must come before any round-robin run, which would not
+    # finish at this mtbr.
+    def rr(*args, **kwargs):
+        raise AssertionError("simulated a scenario with mtbr 1e8")
+
+    monkeypatch.setattr("nicperf.simulator.simulate_accelerator_rr", rr)
+    doc = read_json(SCENARIO)
+    doc["nfs"][0]["traffic"]["mtbr"] = 1e8
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["simulate", "--scenario", str(scenario),
+               "--out", str(tmp_path / "sim.json")])
+    assert rc == 2
+    assert _invalid_input_message(capsys).startswith(
+        "flowmonitor: mtbr must be at most 1e+06")
+    assert not (tmp_path / "sim.json").exists()
+
+
 @pytest.mark.parametrize("missing", ["bundle", "traffic", "max_drop_ratio"])
 def test_schedule_eval_rejects_resident_without_key(tmp_path, capsys, missing):
     resident = {"instance_id": "fm-0", "bundle": {},

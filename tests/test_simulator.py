@@ -314,6 +314,14 @@ def test_scenario_validation():
     with pytest.raises(InvalidInputError):
         ContentionScenario(nfs=((_mem_nf("x"), DEFAULT_TRAFFIC),
                                 (_mem_nf("x"), DEFAULT_TRAFFIC)))
+    # At most one regex match per payload byte (MB = 10**6 bytes); a
+    # round-robin run under a far larger mtbr would not finish.
+    flowmonitor = CATALOG["flowmonitor"]
+    ContentionScenario(nfs=((flowmonitor, DEFAULT_TRAFFIC.replace(mtbr=1e6)),))
+    for mtbr in (math.nextafter(1e6, math.inf), 1e8, 1e300):
+        with pytest.raises(InvalidInputError, match="flowmonitor: mtbr must be at most"):
+            ContentionScenario(nfs=((_mem_nf(), DEFAULT_TRAFFIC),
+                                    (flowmonitor, DEFAULT_TRAFFIC.replace(mtbr=mtbr))))
 
 
 def test_nf_spec_validation():
