@@ -51,7 +51,8 @@ _INF_WIRE = "saturating"
 def _float_in(v) -> float:
     if v == _INF_WIRE:
         return math.inf
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    # ``v != v`` only for NaN, which JSON readers accept but no field means.
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
         raise TypeError(f"expected a number, got {v!r}")
     return float(v)
 
@@ -148,7 +149,8 @@ class Codec:
     dataclasses as dicts, tuples as lists, ``math.inf`` as ``"saturating"``.
     Input must already have each field's JSON type, and nothing is
     coerced: an ``int`` takes an integral number (``16000.0`` but not
-    ``16000.7``), a ``float`` a number, a ``str`` a string, a ``dict`` an
+    ``16000.7``), a ``float`` a number but never NaN (``"saturating"``
+    reads as ``math.inf``), a ``str`` a string, a ``dict`` an
     object, a list or tuple a JSON list, and ``X | tuple[...]`` reads a
     JSON list as the tuple.  A missing key takes the field's default;
     unknown keys are ignored, so rows written with fields since removed

@@ -45,12 +45,13 @@ of trees 1..T, added left to right: the last element of a sequential
 ``np.cumsum`` over ``[base, lr*v_1, ..., lr*v_T]``.  This is bit-identical
 to adding one tree's scaled output at a time to a running total, which is
 how the ensemble was fitted; ``np.sum`` adds pairwise and would not be.
-``GbrModel.to_dict`` rebuilds the wire trees from the arrays, so model
-bytes round-trip.
+A model's document is a ``_GbrWire``: ``GbrModel.to_dict`` rebuilds its
+wire trees from the arrays, so model bytes round-trip.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -114,6 +115,11 @@ class GbrHyperParams(Codec):
     subsample: float = 1.0
     min_samples_leaf: int = 2
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0 < self.learning_rate < math.inf:
+            raise InvalidInputError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 _QS = np.linspace(0, 1, MAX_BINS + 1)[1:-1]
@@ -295,7 +301,29 @@ def _tree_of(roots: np.ndarray, node: int) -> int:
     return int(np.searchsorted(roots, node, side="right")) - 1
 
 
-class GbrModel:
+@dataclass(frozen=True, kw_only=True)
+class _GbrWire(Codec):
+    """A GbrModel document; ``_compile`` checks its wire-form ``trees``."""
+
+    schema: str = "gbr-model"
+    schema_version: int = SCHEMA_VERSION
+    feature_order: tuple[str, ...]
+    base_score: float
+    hyper: GbrHyperParams
+    trees: list[dict]
+
+    def __post_init__(self) -> None:
+        # feature_vector always builds FEATURE_NAMES order; a model fitted
+        # on another order would silently misread every feature.
+        if self.feature_order != FEATURE_NAMES:
+            raise InvalidInputError(f"GbrModel: feature_order must be {list(FEATURE_NAMES)}, "
+                                    f"got {list(self.feature_order)!r}")
+        if not math.isfinite(self.base_score):
+            raise InvalidInputError(
+                f"GbrModel: base_score must be finite, got {self.base_score}")
+
+
+class GbrModel(Codec):
     """Trained gradient-boosted regression ensemble (throughput in pps).
 
     Holds the trees only in compiled form (see the module docstring);
@@ -317,35 +345,16 @@ class GbrModel:
             np.where(leaf, -1, self.feature).tolist(), self.threshold.tolist(),
             local[:, 0].tolist(), local[:, 1].tolist(), self.value.tolist())))
         ends = [*self.roots.tolist(), n]
-        return {
-            "schema": "gbr-model",
-            "schema_version": SCHEMA_VERSION,
-            "feature_order": list(FEATURE_NAMES),
-            "base_score": self.base_score,
-            "hyper": self.hyper.to_dict(),
-            "trees": [{k: col[a:b] for k, col in cols.items()}
-                      for a, b in zip(ends, ends[1:])],
-        }
+        trees = [{k: col[a:b] for k, col in cols.items()} for a, b in zip(ends, ends[1:])]
+        return _GbrWire(feature_order=FEATURE_NAMES, base_score=self.base_score,
+                        hyper=self.hyper, trees=trees).to_dict()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GbrModel":
         if not isinstance(doc, dict) or doc.get("schema") != "gbr-model":
             raise InvalidInputError("not a gbr-model file")
-        for key in ("base_score", "trees", "hyper", "feature_order"):
-            if key not in doc:
-                raise InvalidInputError(f"GbrModel: missing key {key!r}")
-        # feature_vector always builds FEATURE_NAMES order; a model fitted
-        # on another order would silently misread every feature.
-        if doc["feature_order"] != list(FEATURE_NAMES):
-            raise InvalidInputError(
-                f"GbrModel: feature_order must be {list(FEATURE_NAMES)}, "
-                f"got {doc['feature_order']!r}"
-            )
-        return cls(
-            base_score=float(doc["base_score"]),
-            trees=doc["trees"],
-            hyper=GbrHyperParams.from_dict(doc["hyper"]),
-        )
+        w = _GbrWire.from_dict(doc)
+        return cls(base_score=w.base_score, trees=w.trees, hyper=w.hyper)
 
 
 def train(samples: list[ThroughputSample]) -> GbrModel:

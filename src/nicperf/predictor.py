@@ -3,9 +3,10 @@
 build() turns an opaque NF handle (a profiling runner) into a serialized
 predictor bundle: per-resource models, the execution pattern, a solo
 throughput table, and a counter footprint for placement decisions.
-predict() evaluates the bundle at a (traffic, contention) point by
-computing per-resource throughput drops and composing them according to
-the NF's execution pattern.
+Its document is a ``_BundleWire``, which ``core.Codec`` writes and
+reads.  predict() evaluates the bundle at a (traffic, contention) point
+by computing per-resource throughput drops and composing them according
+to the NF's execution pattern.
 
 The black-box memory model is trained on the memory-path rate rather
 than raw end-to-end throughput: each profiled row's accelerator-stage
@@ -71,6 +72,9 @@ _INFER_ATTR_GRID = {
     "mtbr": (0.0, 200.0, 400.0, 700.0, 1100.0),
     "packet_size": (64.0, 400.0, 800.0, 1200.0, 1500.0),
 }
+
+#: Index of the combined working set among the memory model's features.
+_WSS_FEATURE = mem_model.FEATURE_NAMES.index("wss")
 
 #: Solo-sweep resolution per attribute axis.
 _AXIS_POINTS = {"flow_count": 129}
@@ -269,6 +273,27 @@ class _Footprint(Codec):
         )
 
 
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class _BundleWire(Codec):
+    """A bundle document; no accelerator model is keyed by ``memory``."""
+
+    schema: str = BUNDLE_SCHEMA
+    schema_version: int = BUNDLE_VERSION
+    nf: str
+    pattern: ExecutionPattern
+    solo_table: _SoloTable
+    mem_model: GbrModel | None = None
+    accel_models: dict[ResourceKind, AccelModelParams] = dataclasses.field(default_factory=dict)
+    footprint: _Footprint
+    metadata: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if ResourceKind.MEMORY in self.accel_models:
+            raise InvalidInputError(
+                "_BundleWire.accel_models: unknown resource 'memory', expected one of "
+                f"{sorted(k.value for k in ACCEL_ATTRIBUTE)}")
+
+
 @dataclasses.dataclass
 class NfPredictor:
     """Serializable prediction bundle for one NF."""
@@ -314,11 +339,8 @@ class NfPredictor:
         if self.mem_model is not None:
             # The wss feature is the combined working set: competitors'
             # plus the target's own (cache pressure is shared).
-            counters = dataclasses.replace(
-                contention.counters,
-                wss=contention.counters.wss + self.footprint.wss(traffic),
-            )
-            feats = mem_model.feature_vector(counters, traffic)
+            feats = mem_model.feature_vector(contention.counters, traffic)
+            feats[_WSS_FEATURE] += self.footprint.wss(traffic)
             rates[ResourceKind.MEMORY] = max(
                 1e-9, min(mem_model.predict(self.mem_model, feats), solo[0]),
             )
@@ -369,59 +391,19 @@ class NfPredictor:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema": BUNDLE_SCHEMA,
-            "schema_version": BUNDLE_VERSION,
-            "nf": self.nf_name,
-            "pattern": self.pattern.value,
-            "solo_table": self.solo_table.to_dict(),
-            "mem_model": None if self.mem_model is None else self.mem_model.to_dict(),
-            "accel_models": {
-                kind.value: p.to_dict() for kind, p in self.accel_models.items()
-            },
-            "footprint": self.footprint.to_dict(),
-            "metadata": self.metadata,
-        }
+        return _BundleWire(
+            nf=self.nf_name, pattern=self.pattern, solo_table=self.solo_table,
+            mem_model=self.mem_model, accel_models=self.accel_models,
+            footprint=self.footprint, metadata=self.metadata,
+        ).to_dict()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NfPredictor":
         if not isinstance(doc, dict) or doc.get("schema") != BUNDLE_SCHEMA:
             raise InvalidInputError("not a predictor bundle file")
-        where = "NfPredictor"
-        for key in ("nf", "pattern", "solo_table", "footprint"):
-            if key not in doc:
-                raise InvalidInputError(f"{where}: missing key {key!r}")
-        pattern = doc["pattern"]
-        try:
-            pattern = ExecutionPattern(pattern)
-        except ValueError:
-            raise InvalidInputError(
-                f"{where}: unknown pattern {pattern!r}, expected one of "
-                f"{[p.value for p in ExecutionPattern]}"
-            ) from None
-        accels = {k.value: k for k in ACCEL_ATTRIBUTE}
-        accel_doc = doc.get("accel_models", {})
-        if not isinstance(accel_doc, dict):
-            raise InvalidInputError(
-                f"{where}.accel_models: expected an object, got {accel_doc!r}")
-        accel_models = {}
-        for k, v in accel_doc.items():
-            if k not in accels:
-                raise InvalidInputError(
-                    f"{where}.accel_models: unknown resource {k!r}, "
-                    f"expected one of {sorted(accels)}"
-                )
-            accel_models[accels[k]] = AccelModelParams.from_dict(v)
-        mem = doc.get("mem_model")
-        return cls(
-            nf_name=doc["nf"],
-            pattern=pattern,
-            solo_table=_SoloTable.from_dict(doc["solo_table"]),
-            mem_model=None if mem is None else GbrModel.from_dict(mem),
-            accel_models=accel_models,
-            footprint=_Footprint.from_dict(doc["footprint"]),
-            metadata=doc.get("metadata", {}),
-        )
+        w = _BundleWire.from_dict(doc)
+        return cls(w.nf, w.pattern, w.solo_table, w.mem_model, w.accel_models,
+                   w.footprint, w.metadata)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -330,15 +330,9 @@ def save_dataset(dataset: ProfilingDataset, path: str | Path) -> Path:
         for row in dataset.rows:
             f.write(json.dumps(row.to_dict(), sort_keys=True,
                                separators=(",", ":")) + "\n")
-    manifest = {
-        "schema": "profiling-dataset",
-        "nf": dataset.nf_name,
-        "strategy": dataset.strategy.value,
-        "samples_used": dataset.samples_used,
-        "rows": len(dataset.rows),
-        "pruned_attributes": list(dataset.pruned_attributes),
-        "config": dataset.config,
-    }
+    manifest = {"schema": "profiling-dataset", "rows": len(dataset.rows), **_Manifest(
+        dataset.nf_name, dataset.strategy, dataset.samples_used,
+        dataset.pruned_attributes, dataset.config).to_dict()}
     mpath = _manifest_path(path)
     mpath.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return mpath
@@ -346,7 +340,7 @@ def save_dataset(dataset: ProfilingDataset, path: str | Path) -> Path:
 
 @dataclasses.dataclass(frozen=True)
 class _Manifest(Codec):
-    """The keys of a dataset manifest that load_dataset reads."""
+    """A dataset manifest, less the ``schema`` and ``rows`` that load_dataset skips."""
 
     nf: str
     strategy: Strategy

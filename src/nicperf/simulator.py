@@ -101,6 +101,13 @@ class NfStage(Codec):
             raise InvalidInputError(
                 f"base_time must be finite and positive, got {self.base_time}"
             )
+        for key, v in self.traffic_coeffs.items():
+            if key not in ("match_cost", "byte_cost"):
+                raise InvalidInputError(f"NfStage.traffic_coeffs: unknown key {key!r}, "
+                                        "expected match_cost or byte_cost")
+            if not 0 <= v < math.inf:
+                raise InvalidInputError(
+                    f"NfStage.traffic_coeffs: {key!r} must be finite and >= 0, got {v}")
         object.__setattr__(self, "traffic_coeffs", dict(self.traffic_coeffs))
 
     def unit_time(self, traffic: TrafficProfile) -> float:
@@ -333,6 +340,21 @@ def _default_horizon(specs: Sequence[tuple[int, float, float]]) -> float:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _ContentionScenarioNf(Codec):
+    """One co-located NF of a ContentionScenario document."""
+
+    spec: NfSpec
+    traffic: TrafficProfile
+
+
+@dataclass(frozen=True)
+class _ContentionScenarioWire(Codec):
+    """A ContentionScenario document: ``nfs``, a list of ``{spec, traffic}``."""
+
+    nfs: tuple[_ContentionScenarioNf, ...]
+
+
+@dataclass(frozen=True)
 class ContentionScenario(Codec):
     """A set of co-located NFs plus their traffic: one simulated co-run."""
 
@@ -352,36 +374,21 @@ class ContentionScenario(Codec):
                 )
         object.__setattr__(self, "nfs", tuple((s, t) for s, t in self.nfs))
 
-    # On the wire each co-located NF is a {"spec", "traffic"} object.
     def to_dict(self) -> dict:
-        d = super().to_dict()
-        d["nfs"] = [{"spec": spec, "traffic": traffic} for spec, traffic in d["nfs"]]
-        return d
+        return _ContentionScenarioWire(
+            tuple(_ContentionScenarioNf(s, t) for s, t in self.nfs)).to_dict()
 
     # The NIC is fixed, so a key that would set it is an error, not ignored.
     @classmethod
     def from_dict(cls, d: dict) -> "ContentionScenario":
-        if not isinstance(d, dict) or "nfs" not in d:
-            return super().from_dict(d)
-        unknown = sorted(set(d) - {"nfs"})
+        unknown = sorted(set(d) - {"nfs"}) if isinstance(d, dict) else ()
         if unknown:
             raise InvalidInputError(
                 f"ContentionScenario: unknown keys {', '.join(unknown)}; "
                 "a scenario holds only 'nfs', the simulated NIC is fixed"
             )
-        nfs = d["nfs"]
-        if not isinstance(nfs, list):
-            raise InvalidInputError(
-                f"ContentionScenario.nfs: expected a list, got {nfs!r}")
-        for e in nfs:
-            if not isinstance(e, dict):
-                raise InvalidInputError(
-                    f"ContentionScenario.nfs: expected an object, got {e!r}")
-            for key in ("spec", "traffic"):
-                if key not in e:
-                    raise InvalidInputError(
-                        f"ContentionScenario.nfs: missing key {key!r}")
-        return super().from_dict({"nfs": [[e["spec"], e["traffic"]] for e in nfs]})
+        wire = _ContentionScenarioWire.from_dict(d)
+        return cls(tuple((e.spec, e.traffic) for e in wire.nfs))
 
 
 @dataclass(frozen=True)

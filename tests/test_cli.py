@@ -19,8 +19,36 @@ from nicperf.cli import (
     _load_arrivals,
     main,
 )
-from nicperf.core import InvalidInputError
-from nicperf.profiler import FullProfileConfig, Strategy, _Manifest
+from nicperf.accel_model import AccelModelParams
+from nicperf.apps import Fleet, Nic, NfInstance, PlacementReport, _NfInstanceWire
+from nicperf.core import (
+    Codec,
+    CounterSnapshot,
+    ExecutionPattern,
+    InvalidInputError,
+    ResourceKind,
+    ThroughputSample,
+    TrafficProfile,
+)
+from nicperf.mem_model import FEATURE_NAMES, GbrHyperParams, GbrModel, _GbrWire
+from nicperf.predictor import (
+    PredictionResult,
+    _BundleWire,
+    _Competitor,
+    _ContentionWire,
+    _Curve,
+    _Footprint,
+    _SoloTable,
+)
+from nicperf.profiler import FullProfileConfig, ProfilingConfig, Strategy, _Manifest
+from nicperf.simulator import (
+    ContentionScenario,
+    NfSpec,
+    NfStage,
+    SimulationResult,
+    _ContentionScenarioNf,
+    _ContentionScenarioWire,
+)
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "example.json"
 
@@ -107,6 +135,26 @@ def test_simulate_rejects_nf_entry_not_an_object(tmp_path, capsys):
                "--out", str(tmp_path / "sim.json")])
     assert rc == 2
     assert "ContentionScenario" in _invalid_input_message(capsys)
+
+
+@pytest.mark.parametrize("coeffs,words", [
+    ({"matchcost": 3e-9}, ["NfStage.traffic_coeffs", "'matchcost'"]),
+    ({"match_cost": math.nan}, ["NfStage.traffic_coeffs", "expected a number, got nan"]),
+    ({"match_cost": -3e-9}, ["NfStage.traffic_coeffs", "'match_cost'"]),
+], ids=["misspelt", "nan", "negative"])
+def test_simulate_rejects_bad_stage_coefficient(tmp_path, capsys, coeffs, words):
+    # A misspelt key would otherwise be ignored: flowmonitor's regex stage
+    # would run at its base time and report 90909 pps instead of 81967.
+    doc = read_json(SCENARIO)
+    doc["nfs"][0]["spec"]["stages"][1]["traffic_coeffs"] = coeffs
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["simulate", "--scenario", str(scenario),
+               "--out", str(tmp_path / "sim.json")])
+    assert rc == 2
+    message = _invalid_input_message(capsys)
+    assert all(w in message for w in words), message
+    assert not (tmp_path / "sim.json").exists()
 
 
 def test_simulate_rejects_mtbr_above_one_match_per_byte(tmp_path, capsys, monkeypatch):
@@ -364,6 +412,23 @@ def test_predict_rejects_short_bounds(flowmonitor_bundle, tmp_path, capsys):
     assert "bounds" in _invalid_input_message(capsys)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("base_score", "abc"), ("base_score", "1.5"), ("base_score", True),
+    ("base_score", math.nan), ("base_score", "saturating"),
+    ("learning_rate", math.nan), ("learning_rate", 0),
+], ids=["base-string", "base-numeric-string", "base-true", "base-nan", "base-saturating",
+        "rate-nan", "rate-zero"])
+def test_predict_rejects_bad_gbr_number(flowmonitor_bundle, tmp_path, capsys, key, value):
+    # Each would otherwise be coerced, crash, or predict ~1e-9 pps and exit 0.
+    doc = read_json(flowmonitor_bundle)
+    gbr = doc["mem_model"]
+    (gbr if key == "base_score" else gbr["hyper"])[key] = value
+    bundle = tmp_path / "tampered.bundle.json"
+    bundle.write_text(json.dumps(doc))
+    assert _predict(tmp_path, bundle, {"accel": {"regex_accel": []}}) == 2
+    assert key in _invalid_input_message(capsys)
+
+
 def test_evaluate_checks_domain_before_simulating(flowmonitor_bundle, tmp_path, capsys,
                                                   monkeypatch):
     # Outside the profiled domain the simulator need not return; the point
@@ -445,7 +510,7 @@ def _report_without_nic_count(tmp, bundle):
     (_evaluate_on({"points": 5}), ["_Grid.points", "expected a list"]),
     (_levels([1]), ["_Point.levels", "expected an object"]),
     (_levels({"regex_accel": [0.5, 0.5]}), ["_Point.levels", "regex_accel"]),
-    (_levels({"memory": math.nan}), ["_Point.levels", "memory"]),
+    (_levels({"memory": math.nan}), ["_Point.levels", "expected a number, got nan"]),
     (_levels({"memory": -0.5}), ["_Point.levels", "memory"]),
     (_schedule({"arrivals": ["x"]}), ["_Arrivals.arrivals", "expected an object"]),
     (_schedule({"arrivals": [{"instance_id": "a", "bundle_path": "a.json",
@@ -517,7 +582,72 @@ _POINTS = st.fixed_dictionaries({"traffic": _TRAFFIC_DOCS}, optional={"levels": 
 _ATTRIBUTE = st.sampled_from(sorted(ATTRIBUTE_RANGES))
 _SWEEP_TAIL = {"traffic": _TRAFFIC_DOCS, "levels": _LEVELS}
 
-#: Each new input type with a strategy for its wire documents.
+_POS = st.floats(1e-9, 1e9)
+_KINDS = st.sampled_from([k.value for k in ResourceKind])
+_ACCELS = st.sampled_from([k.value for k in ResourceKind if k.is_accelerator])
+_COUNTERS = st.fixed_dictionaries({}, optional={
+    k: st.floats(0.0, 1e12) for k in CounterSnapshot.__dataclass_fields__})
+_ACCEL_PARAMS = st.fixed_dictionaries(
+    {"queue_count": st.integers(1, 8), "t0": _POS},
+    optional={"a": st.floats(0.0, 1e-6), "resource": _KINDS,
+              "fit_r2": st.none() | st.floats(-1.0, 1.0)})
+_HYPER = st.fixed_dictionaries({}, optional={
+    "n_trees": st.integers(0, 300), "max_depth": st.integers(0, 8),
+    "learning_rate": st.floats(1e-6, 1.0), "subsample": st.floats(0.0, 1.0),
+    "min_samples_leaf": st.integers(1, 9), "seed": st.integers(0, 9)})
+_LEAF = st.builds(lambda v: {"feature": [-1], "threshold": [0.0], "left": [-1],
+                             "right": [-1], "value": [v]}, _NUM)
+_STUMP = st.builds(lambda f, t, lo, hi: {
+    "feature": [f, -1, -1], "threshold": [t, 0.0, 0.0], "left": [1, -1, -1],
+    "right": [2, -1, -1], "value": [0.0, lo, hi]},
+    st.integers(0, len(FEATURE_NAMES) - 1), _NUM, _NUM, _NUM)
+_GBR_HEAD = {"feature_order": st.just(list(FEATURE_NAMES)), "base_score": _NUM,
+             "hyper": _HYPER}
+_GBR_DOCS = st.fixed_dictionaries({
+    "schema": st.just("gbr-model"), **_GBR_HEAD,
+    "trees": st.lists(_LEAF | _STUMP, max_size=2)})
+_CURVES = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
+    "x": st.lists(_NUM, min_size=n, max_size=n).map(sorted),
+    "y": st.lists(_NUM, min_size=n, max_size=n)}))
+_SOLO_TABLES = st.fixed_dictionaries({
+    "base_rate": _POS, "axes": st.dictionaries(_ATTRIBUTE, _CURVES, max_size=1),
+    "bounds": st.dictionaries(_ATTRIBUTE, st.lists(_NUM, min_size=2, max_size=2),
+                              max_size=2)})
+_FOOTPRINTS = st.fixed_dictionaries(
+    {"car_per_pkt": _NUM, "irt_per_pkt": _NUM, "mem_frac": _NUM, "wss_axis": _CURVES},
+    optional={"miss_curve": st.none() | _CURVES})
+_BUNDLES = st.fixed_dictionaries(
+    {"schema": st.just("nf-predictor"), "nf": _TEXT,
+     "pattern": st.sampled_from([p.value for p in ExecutionPattern]),
+     "solo_table": _SOLO_TABLES, "footprint": _FOOTPRINTS},
+    optional={"schema_version": st.integers(0, 9), "mem_model": st.none() | _GBR_DOCS,
+              "accel_models": st.dictionaries(_ACCELS, _ACCEL_PARAMS, max_size=1),
+              "metadata": st.dictionaries(_TEXT, st.integers(), max_size=2)})
+_RATIO = st.floats(0.0, 1.0, exclude_min=True)
+_INSTANCES = st.fixed_dictionaries({
+    "instance_id": _TEXT, "bundle": _BUNDLES, "traffic": _TRAFFIC_DOCS,
+    "max_drop_ratio": _RATIO})
+_NICS = st.fixed_dictionaries({"nic_id": st.integers(0, 9)},
+                              optional={"residents": st.lists(_INSTANCES, max_size=1)})
+_STAGES = st.fixed_dictionaries(
+    {"resource": _KINDS, "base_time": _POS},
+    optional={"traffic_coeffs": st.fixed_dictionaries({}, optional={
+        "match_cost": st.floats(0.0, 1e-6), "byte_cost": st.floats(0.0, 1e-6)})})
+_SPECS = st.fixed_dictionaries(
+    {"name": _TEXT, "pattern": st.sampled_from([p.value for p in ExecutionPattern]),
+     "stages": st.lists(_STAGES, min_size=1, max_size=3, unique_by=lambda d: d["resource"])},
+    optional={"queue_count": st.integers(1, 4), "wss_base": _NUM, "wss_per_flow": _NUM,
+              "wss_cap": _NUM, "l2_refs_per_packet": _NUM,
+              "instructions_per_packet": _NUM, "offered_rate": st.none() | _NUM,
+              "car_override": st.none() | _NUM, "wss_override": st.none() | _NUM})
+_SCENARIO_NFS = st.fixed_dictionaries({"spec": _SPECS, "traffic": _TRAFFIC_DOCS})
+_COMPETITORS = st.fixed_dictionaries(
+    {"params": _ACCEL_PARAMS, "attr_value": _NUM},
+    optional={"offered_rate": st.just("saturating") | st.floats(0.0, 1e9)})
+_ATTRIBUTE_BOXES = st.tuples(_ATTRIBUTE, _NUM, _NUM).filter(lambda t: t[1] != t[2]).map(
+    lambda t: [t[0], *sorted(t[1:])])
+
+#: Every Codec type with a strategy for its wire documents.
 _INPUT_DOCS = {
     _Point: _POINTS,
     _Grid: st.fixed_dictionaries({"points": st.lists(_POINTS, max_size=3)}),
@@ -546,7 +676,67 @@ _INPUT_DOCS = {
         "nf": _TEXT, "strategy": st.sampled_from([s.value for s in Strategy]),
         "samples_used": st.integers(0, 99), "pruned_attributes": st.lists(_TEXT),
         "config": st.dictionaries(_TEXT, st.integers())}),
+    TrafficProfile: _TRAFFIC_DOCS,
+    CounterSnapshot: _COUNTERS,
+    ThroughputSample: st.fixed_dictionaries({
+        "scenario_id": _TEXT, "target_nf": _TEXT, "traffic": _TRAFFIC_DOCS,
+        "competitor_counters": _COUNTERS, "observed_throughput": _POS}),
+    AccelModelParams: _ACCEL_PARAMS,
+    GbrHyperParams: _HYPER,
+    # The wire leaves trees to GbrModel, so here they are opaque objects.
+    _GbrWire: st.fixed_dictionaries({**_GBR_HEAD, "trees": st.lists(
+        st.dictionaries(_TEXT, st.integers()), max_size=2)},
+        optional={"schema": _TEXT, "schema_version": st.integers(0, 9)}),
+    GbrModel: _GBR_DOCS,
+    NfStage: _STAGES,
+    NfSpec: _SPECS,
+    _ContentionScenarioNf: _SCENARIO_NFS,
+    _ContentionScenarioWire: st.fixed_dictionaries({"nfs": st.lists(_SCENARIO_NFS, max_size=2)}),
+    ContentionScenario: st.fixed_dictionaries({"nfs": st.lists(
+        _SCENARIO_NFS, min_size=1, max_size=4, unique_by=lambda e: e["spec"]["name"])}),
+    SimulationResult: st.fixed_dictionaries({
+        "per_nf_throughput": st.dictionaries(_TEXT, _NUM, max_size=2),
+        "per_nf_counters": st.dictionaries(_TEXT, _COUNTERS, max_size=2),
+        "per_nf_stage_throughput": st.dictionaries(
+            _TEXT, st.dictionaries(_KINDS, _NUM), max_size=2),
+        "bottleneck": st.dictionaries(_TEXT, _KINDS, max_size=2)}),
+    _Competitor: _COMPETITORS,
+    _ContentionWire: st.fixed_dictionaries({}, optional={
+        "counters": _COUNTERS,
+        "accel": st.dictionaries(_KINDS, st.lists(_COMPETITORS, max_size=2))}),
+    PredictionResult: st.fixed_dictionaries(
+        {"throughput": _NUM, "t_solo": _NUM, "drops": st.dictionaries(_KINDS, _NUM),
+         "stage_rates": st.dictionaries(_KINDS, _NUM)},
+        optional={"saturated": st.booleans()}),
+    _Curve: _CURVES,
+    _SoloTable: _SOLO_TABLES,
+    _Footprint: _FOOTPRINTS,
+    _BundleWire: _BUNDLES,
+    ProfilingConfig: st.fixed_dictionaries(
+        {"attributes": st.lists(_ATTRIBUTE_BOXES, min_size=1, max_size=3)},
+        optional={"quota": st.integers(10, 300), "m": st.integers(1, 10),
+                  "eps0": st.none() | _POS, "eps1": st.none() | _POS,
+                  "seed": st.integers(0, 9), "min_box_frac": st.floats(1e-4, 0.5),
+                  "contention_resources": st.lists(_KINDS, max_size=2)}),
+    NfInstance: _INSTANCES,
+    # The wire leaves the bundle to NfPredictor, so here it is an opaque object.
+    _NfInstanceWire: st.fixed_dictionaries({
+        "instance_id": _TEXT, "bundle": st.dictionaries(_TEXT, st.integers()),
+        "traffic": _TRAFFIC_DOCS, "max_drop_ratio": _NUM}),
+    Nic: _NICS,
+    Fleet: st.fixed_dictionaries({}, optional={"nics": st.lists(_NICS, max_size=2)}),
+    PlacementReport: st.fixed_dictionaries({
+        "nic_count": st.integers(0, 9), "nf_count": st.integers(0, 9),
+        "violating_instances": st.lists(_TEXT, max_size=3)}),
 }
+
+
+def _codec_types(cls=Codec):
+    """Every subclass of ``cls`` that nicperf defines, at any depth."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("nicperf."):
+            yield sub
+        yield from _codec_types(sub)
 
 
 def _float_paths(doc, path=()):
@@ -565,14 +755,19 @@ def _with_nan(doc, path):
     return copy
 
 
-@pytest.mark.parametrize("cls", list(_INPUT_DOCS), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", sorted(set(_codec_types()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_input_types_roundtrip_and_reject_nan(cls, data):
+    assert cls in _INPUT_DOCS, f"{cls.__name__} needs a strategy in _INPUT_DOCS"
     doc = data.draw(_INPUT_DOCS[cls])
     value = cls.from_dict(doc)
-    again = cls.from_dict(json.loads(json.dumps(value.to_dict())))
-    assert again == value and again.to_dict() == value.to_dict()
+    text = json.dumps(value.to_dict(), sort_keys=True)
+    again = cls.from_dict(json.loads(text))
+    # Compared as documents: a _Curve, and so whatever holds one, and a
+    # GbrModel compare by identity.
+    assert json.dumps(again.to_dict(), sort_keys=True) == text
     for path in _float_paths(doc):
         with pytest.raises(InvalidInputError):
             cls.from_dict(_with_nan(doc, path))

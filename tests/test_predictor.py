@@ -136,10 +136,11 @@ def test_bundle_missing_key_rejected(bundle_cache, path):
 
 
 @pytest.mark.parametrize("field,value,match", [
-    ("pattern", "bogus", "unknown pattern 'bogus'"),
-    ("pattern", None, "unknown pattern None"),
+    ("pattern", "bogus", "pattern: 'bogus' is not a valid ExecutionPattern"),
+    ("pattern", None, "pattern: None is not a valid ExecutionPattern"),
     ("accel_models", "memory", "unknown resource 'memory'"),
-    ("accel_models", "crypto_accel", "unknown resource 'crypto_accel'"),
+    ("accel_models", "crypto_accel",
+     "accel_models: 'crypto_accel' is not a valid ResourceKind"),
 ], ids=["pattern-bogus", "pattern-null", "accel-memory", "accel-unknown"])
 def test_bundle_unknown_value_rejected(bundle_cache, field, value, match):
     doc = _bundle_doc(bundle_cache)
@@ -164,17 +165,17 @@ _BAD_VALUES = [
     (("accel_models",), [], "expected an object"),
     (("solo_table", "bounds", "flow_count"), [1], "expected 2 items, got 1"),
     (("solo_table", "bounds", "flow_count"), "15", "expected a list"),
-    (("solo_table", "base_rate"), math.nan, "finite and positive"),
+    (("solo_table", "base_rate"), math.nan, "_SoloTable.base_rate: expected a number"),
     (("solo_table", "base_rate"), "saturating", "finite and positive"),
     (("solo_table", "base_rate"), 0.0, "finite and positive"),
     (("solo_table", "axes"), [], "_SoloTable.axes"),
-    ((*_AXIS, "y", 0), math.nan, "finite"),
+    ((*_AXIS, "y", 0), math.nan, "_Curve.y: expected a number"),
     ((*_AXIS, "x", -1), "saturating", "finite"),
     ((*_AXIS, "y"), [1.0, 2.0], "equal non-zero lengths"),
     ((*_AXIS, "x"), "15", "expected a list"),
     (_AXIS, {"x": [], "y": []}, "equal non-zero lengths"),
     (("footprint", "wss_axis", "y", 0), "saturating", "finite"),
-    ((*_MISS, "y", 0), math.nan, "finite"),
+    ((*_MISS, "y", 0), math.nan, "_Curve.y: expected a number"),
     ((*_MISS, "x"), [2.0, 1.0], "equal non-zero lengths"),
     (_MISS, {"x": [2.0, 1.0], "y": [0.1, 0.2]}, "ascending"),
 ]
