@@ -173,7 +173,7 @@ class Codec:
                     kw[name] = dec(d[name])
                 except InvalidInputError:
                     raise
-                except (ValueError, TypeError, AttributeError) as exc:
+                except (ValueError, TypeError, AttributeError, OverflowError) as exc:
                     raise InvalidInputError(f"{cls.__name__}.{name}: {exc}") from None
             elif required:
                 raise InvalidInputError(f"{cls.__name__}: missing key {name!r}")

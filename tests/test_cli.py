@@ -585,6 +585,7 @@ _SWEEP_TAIL = {"traffic": _TRAFFIC_DOCS, "levels": _LEVELS}
 _POS = st.floats(1e-9, 1e9)
 _KINDS = st.sampled_from([k.value for k in ResourceKind])
 _ACCELS = st.sampled_from([k.value for k in ResourceKind if k.is_accelerator])
+_PATTERNS = st.sampled_from([p.value for p in ExecutionPattern])
 _COUNTERS = st.fixed_dictionaries({}, optional={
     k: st.floats(0.0, 1e12) for k in CounterSnapshot.__dataclass_fields__})
 _ACCEL_PARAMS = st.fixed_dictionaries(
@@ -618,15 +619,14 @@ _FOOTPRINTS = st.fixed_dictionaries(
     optional={"miss_curve": st.none() | _CURVES})
 _BUNDLES = st.fixed_dictionaries(
     {"schema": st.just("nf-predictor"), "nf": _TEXT,
-     "pattern": st.sampled_from([p.value for p in ExecutionPattern]),
+     "pattern": _PATTERNS,
      "solo_table": _SOLO_TABLES, "footprint": _FOOTPRINTS},
     optional={"schema_version": st.integers(0, 9), "mem_model": st.none() | _GBR_DOCS,
               "accel_models": st.dictionaries(_ACCELS, _ACCEL_PARAMS, max_size=1),
               "metadata": st.dictionaries(_TEXT, st.integers(), max_size=2)})
-_RATIO = st.floats(0.0, 1.0, exclude_min=True)
 _INSTANCES = st.fixed_dictionaries({
     "instance_id": _TEXT, "bundle": _BUNDLES, "traffic": _TRAFFIC_DOCS,
-    "max_drop_ratio": _RATIO})
+    "max_drop_ratio": st.floats(0.0, 1.0, exclude_min=True)})
 _NICS = st.fixed_dictionaries({"nic_id": st.integers(0, 9)},
                               optional={"residents": st.lists(_INSTANCES, max_size=1)})
 _STAGES = st.fixed_dictionaries(
@@ -634,7 +634,7 @@ _STAGES = st.fixed_dictionaries(
     optional={"traffic_coeffs": st.fixed_dictionaries({}, optional={
         "match_cost": st.floats(0.0, 1e-6), "byte_cost": st.floats(0.0, 1e-6)})})
 _SPECS = st.fixed_dictionaries(
-    {"name": _TEXT, "pattern": st.sampled_from([p.value for p in ExecutionPattern]),
+    {"name": _TEXT, "pattern": _PATTERNS,
      "stages": st.lists(_STAGES, min_size=1, max_size=3, unique_by=lambda d: d["resource"])},
     optional={"queue_count": st.integers(1, 4), "wss_base": _NUM, "wss_per_flow": _NUM,
               "wss_cap": _NUM, "l2_refs_per_packet": _NUM,

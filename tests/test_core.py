@@ -178,6 +178,7 @@ _EMPTY_RESULT = {"per_nf_throughput": {}, "per_nf_counters": {},
     (TrafficProfile, json.loads('{"flow_count": 1e400}'), "TrafficProfile.flow_count: expected an"),
     (TrafficProfile, {"flow_count": True}, "TrafficProfile.flow_count: expected an integer"),
     (TrafficProfile, {"mtbr": "600"}, "TrafficProfile.mtbr: expected a number"),
+    (TrafficProfile, {"mtbr": 10**400}, "TrafficProfile.mtbr: int too large"),
     (ProfilingConfig, {"attributes": _ATTRS, "quota": 40.9}, "ProfilingConfig.quota: expected an"),
     (ProfilingConfig, {"attributes": _ATTRS, "seed": 2.5}, "ProfilingConfig.seed: expected an"),
     (ProfilingConfig, {"attributes": [[{"a": 1}, 0, 1]]},
@@ -185,7 +186,8 @@ _EMPTY_RESULT = {"per_nf_throughput": {}, "per_nf_counters": {},
     (SimulationResult, {**_EMPTY_RESULT, "bottleneck": [["nat", "memory"]]},
      "SimulationResult.bottleneck: expected an object"),
 ], ids=["int-given-fraction", "int-given-overflow", "int-given-bool", "float-given-string",
-        "quota-fraction", "seed-fraction", "str-given-object", "dict-given-list"])
+        "float-given-huge-int", "quota-fraction", "seed-fraction", "str-given-object",
+        "dict-given-list"])
 def test_codec_scalars_are_not_coerced(cls, doc, match):
     with pytest.raises(InvalidInputError, match=match):
         cls.from_dict(doc)
