@@ -79,6 +79,10 @@ class ConvergenceError(RuntimeError):
 # NF definitions
 # --------------------------------------------------------------------------
 
+# Each traffic coefficient an NfStage accepts, and the traffic attribute it scales.
+_COEFF_ATTRIBUTE = {"match_cost": "mtbr", "byte_cost": "packet_size"}
+
+
 @dataclass(frozen=True)
 class NfStage(Codec):
     """One processing block of an NF; uses exactly one resource.
@@ -102,9 +106,9 @@ class NfStage(Codec):
                 f"base_time must be finite and positive, got {self.base_time}"
             )
         for key, v in self.traffic_coeffs.items():
-            if key not in ("match_cost", "byte_cost"):
+            if key not in _COEFF_ATTRIBUTE:
                 raise InvalidInputError(f"NfStage.traffic_coeffs: unknown key {key!r}, "
-                                        "expected match_cost or byte_cost")
+                                        f"expected one of {sorted(_COEFF_ATTRIBUTE)}")
             if not 0 <= v < math.inf:
                 raise InvalidInputError(
                     f"NfStage.traffic_coeffs: {key!r} must be finite and >= 0, got {v}")
@@ -113,8 +117,8 @@ class NfStage(Codec):
     def unit_time(self, traffic: TrafficProfile) -> float:
         """Per-packet (per-request) time at the given traffic."""
         t = self.base_time
-        t += self.traffic_coeffs.get("match_cost", 0.0) * traffic.mtbr
-        t += self.traffic_coeffs.get("byte_cost", 0.0) * traffic.packet_size
+        for key, attribute in _COEFF_ATTRIBUTE.items():
+            t += self.traffic_coeffs.get(key, 0.0) * getattr(traffic, attribute)
         return t
 
 
