@@ -61,11 +61,20 @@ def _float_out(v: float):
     return _INF_WIRE if v == math.inf else v
 
 
+#: A Codec integer must fit in 64 signed bits, below this in magnitude.  No
+#: count, size or seed means anything beyond, and arithmetic on a larger
+#: one can overflow.
+_INT_LIMIT = 2**63
+
+
 def _int_in(v) -> int:
     if isinstance(v, float) and v.is_integer():
-        return int(v)
-    if isinstance(v, bool) or not isinstance(v, int):
+        v = int(v)
+    elif isinstance(v, bool) or not isinstance(v, int):
         raise TypeError(f"expected an integer, got {v!r}")
+    if not -_INT_LIMIT <= v < _INT_LIMIT:
+        raise ValueError(f"expected an integer of at most 64 bits, got one of "
+                         f"{v.bit_length() + 1} bits")
     return v
 
 
@@ -148,8 +157,8 @@ class Codec:
     Output: enums (values and dict keys) as their ``.value``, nested
     dataclasses as dicts, tuples as lists, ``math.inf`` as ``"saturating"``.
     Input must already have each field's JSON type, and nothing is
-    coerced: an ``int`` takes an integral number (``16000.0`` but not
-    ``16000.7``), a ``float`` a number but never NaN (``"saturating"``
+    coerced: an ``int`` takes an integral number that fits in 64 signed
+    bits (``16000.0`` but not ``16000.7``), a ``float`` a number but never NaN (``"saturating"``
     reads as ``math.inf``), a ``str`` a string, a ``dict`` an
     object, a list or tuple a JSON list, and ``X | tuple[...]`` reads a
     JSON list as the tuple.  A missing key takes the field's default;

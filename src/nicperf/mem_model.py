@@ -21,7 +21,11 @@ feature column once, stably, and every node of every tree takes its rows'
 sorted order from that block instead of sorting again.  Each node searches
 all features in one vectorised pass, with the same candidates, prefix sums
 and tie-breaks as a per-feature search that sorts the node's rows, so the
-trees are the same to the bit (``_best_split`` has the details).
+trees are the same to the bit (``_best_split`` has the details).  A
+feature with more than MAX_BINS distinct values cuts at its quantiles,
+which ``_sorted_quantiles`` reads off the sorted block with numpy's
+"linear" formula, step for step, instead of ``np.quantile`` copying and
+partitioning rows that are already sorted.
 
 In memory the ensemble exists only in compiled form: flat node arrays
 holding every tree back to back, the layout QuickScorer (Lucchese et al.,
@@ -125,6 +129,30 @@ class GbrHyperParams(Codec):
 _QS = np.linspace(0, 1, MAX_BINS + 1)[1:-1]
 
 
+def _sorted_quantiles(xs: np.ndarray) -> np.ndarray:
+    """``np.quantile(xs, _QS, axis=1).T`` for rows ``xs`` already sorted.
+
+    numpy's "linear" method, step for step, without its copy and
+    ``partition`` of the rows: the virtual index ``(n - 1) * q`` (exact for
+    these dyadic q, so equal to Hyndman & Fan's ``n*q + (1 - q) - 1``), its
+    floor and the next index, both set to -1 at or past the last index and
+    to 0 below the first, ``gamma`` the index less that floor, and then
+    ``a + (b - a)*gamma``, or ``b - (b - a)*(1 - gamma)`` where
+    ``gamma >= 0.5``.
+    """
+    n = xs.shape[1]
+    vi = (n - 1) * _QS
+    prev = np.floor(vi)
+    nxt = prev + 1
+    above, below = vi >= n - 1, vi < 0
+    prev[above] = nxt[above] = -1
+    prev[below] = nxt[below] = 0
+    gamma = vi - prev
+    a, b = xs[:, prev.astype(np.intp)], xs[:, nxt.astype(np.intp)]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
 def _best_split(
     xT: np.ndarray, order: np.ndarray, rows: np.ndarray, residual: np.ndarray,
     min_leaf: int,
@@ -146,8 +174,13 @@ def _best_split(
       sends the j + 1 values up to a left.  When it rounds onto b (a and b
       adjacent floats) or overflows to +-inf, ``searchsorted`` counts;
     - the quantile cut points of every feature with more distinct values
-      come from one ``np.quantile`` over the block, then ``np.unique`` per
-      feature;
+      come from ``_sorted_quantiles`` on its sorted row, which is
+      ``np.quantile`` without the copy and ``partition``.  They come out
+      non-decreasing, so dropping each one equal to its left neighbour
+      (a change point of the row) leaves the values ``np.unique`` would,
+      in its order.  (A cut point between two neighbours whose difference
+      overflows is +-inf or NaN, and its count, 0 or all rows, fails the
+      leaf check);
     - the gains of all candidates, in feature order, go through one
       ``argmax``.  Its first maximum is the first maximum of the first
       feature to reach it, which is a per-feature search's choice.  A gain
@@ -174,12 +207,13 @@ def _best_split(
         counts[i] = xs[feat[i]].searchsorted(cands[i], side="right")
     many = np.flatnonzero(~few)
     if many.size:
-        qs = np.quantile(xs[many], _QS, axis=1).T
-        uniq = [np.unique(q) for q in qs]
-        feat = np.concatenate([feat, np.repeat(many, [len(u) for u in uniq])])
-        cands = np.concatenate([cands, *uniq])
-        counts = np.concatenate(
-            [counts, *(xs[f].searchsorted(u, side="right") for f, u in zip(many, uniq))])
+        qs = _sorted_quantiles(xs[many])
+        new = np.ones(qs.shape, dtype=bool)
+        new[:, 1:] = qs[:, 1:] != qs[:, :-1]
+        q_counts = np.stack([xs[f].searchsorted(q, side="right") for f, q in zip(many, qs)])
+        feat = np.concatenate([feat, np.repeat(many, new.sum(axis=1))])
+        cands = np.concatenate([cands, qs[new]])
+        counts = np.concatenate([counts, q_counts[new]])
         by_feat = np.argsort(feat, kind="stable")
         feat, cands, counts = feat[by_feat], cands[by_feat], counts[by_feat]
 
@@ -303,7 +337,8 @@ def _tree_of(roots: np.ndarray, node: int) -> int:
 
 @dataclass(frozen=True, kw_only=True)
 class _GbrWire(Codec):
-    """A GbrModel document; ``_compile`` checks its wire-form ``trees``."""
+    """A GbrModel document of version ``SCHEMA_VERSION``; ``_compile``
+    checks its wire-form ``trees``."""
 
     schema: str = "gbr-model"
     schema_version: int = SCHEMA_VERSION
@@ -313,6 +348,9 @@ class _GbrWire(Codec):
     trees: list[dict]
 
     def __post_init__(self) -> None:
+        if self.schema_version != SCHEMA_VERSION:
+            raise InvalidInputError(f"gbr-model schema_version {self.schema_version} is not "
+                                    f"supported; this nicperf reads version {SCHEMA_VERSION}")
         # feature_vector always builds FEATURE_NAMES order; a model fitted
         # on another order would silently misread every feature.
         if self.feature_order != FEATURE_NAMES:

@@ -275,7 +275,8 @@ class _Footprint(Codec):
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
 class _BundleWire(Codec):
-    """A bundle document; no accelerator model is keyed by ``memory``."""
+    """A bundle document of version ``BUNDLE_VERSION``; no accelerator
+    model is keyed by ``memory``."""
 
     schema: str = BUNDLE_SCHEMA
     schema_version: int = BUNDLE_VERSION
@@ -288,6 +289,9 @@ class _BundleWire(Codec):
     metadata: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.schema_version != BUNDLE_VERSION:
+            raise InvalidInputError(f"bundle schema_version {self.schema_version} is not "
+                                    f"supported; this nicperf reads version {BUNDLE_VERSION}")
         if ResourceKind.MEMORY in self.accel_models:
             raise InvalidInputError(
                 "_BundleWire.accel_models: unknown resource 'memory', expected one of "

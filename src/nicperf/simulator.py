@@ -17,6 +17,14 @@ which is the closed form the white-box accelerator model predicts.  Solo
 throughput is 1 / (n * t) under the same semantics, consistent with the
 closed form evaluated with a single NF.
 
+A run in which every offered rate is infinite (the inference co-runs and
+saturated solo stages) serves every visit, so it takes a vectorised path:
+the time after each visit is a sequential ``np.cumsum`` of the per-visit
+service times over whole cycles, the same floats the event loop's
+``now += service`` adds up, and the half-window counts are ``np.bincount``
+of the visits before the horizon.  Both paths give the same rates to the
+bit and share one stability check.
+
 The simulated NIC is fixed (BlueField-2): its last-level cache
 (``LLC_BYTES``), memory subsystem (``MEM_PARAMS``) and round-robin
 horizon (``SIM_CYCLES``) are constants, so a scenario is just its NFs.
@@ -27,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .composer import compose_rates
 from .core import (
@@ -65,6 +75,9 @@ WARMUP_FRACTION = 0.1
 STABILITY_TOL = 0.005
 #: Round-robin cycles per accelerator run (sets the run's horizon).
 SIM_CYCLES = 2500
+#: Visits per block of a round-robin run in which every queue is
+#: backlogged (see ``_rr_backlogged``); bounds the run's arrays.
+_RR_BLOCK_VISITS = 1 << 13
 #: Highest mtbr a scenario accepts: one regex match per payload byte,
 #: with MB = 10**6 bytes.  Request times grow with mtbr, and a round-robin
 #: run under a far larger one would not finish.
@@ -262,14 +275,42 @@ def simulate_accelerator_rr(
         if rate < 0:
             raise InvalidInputError("offered_rate must be non-negative")
 
-    n_nfs = len(specs)
     # Flatten into a visit schedule: one slot per queue, in NF order.
-    visit_nf: list[int] = []
-    for j, (n, _, _) in enumerate(specs):
-        visit_nf.extend([j] * n)
+    visit_nf = [j for j, (n, _, _) in enumerate(specs) for _ in range(n)]
     # Service time per visit scales with the NF's queue count (see module
     # docstring for the equilibrium this realizes).
     service = [n * t for (n, t, _) in specs]
+    warm_end = WARMUP_FRACTION * horizon
+    mid = warm_end + (horizon - warm_end) / 2.0
+    if all(math.isinf(rate) for (_, _, rate) in specs):
+        served_h1, served_h2 = _rr_backlogged(
+            visit_nf, service, len(specs), horizon, warm_end, mid)
+    else:
+        served_h1, served_h2 = _rr_events(specs, visit_nf, service, horizon, warm_end, mid)
+
+    half = (horizon - warm_end) / 2.0
+    rates = [(a + b) / (2.0 * half) for a, b in zip(served_h1, served_h2)]
+    for j in range(len(specs)):
+        r1, r2 = served_h1[j] / half, served_h2[j] / half
+        ref = max(r1, r2)
+        # A couple of requests of slack: deterministic arrivals can land
+        # just either side of the window midpoint.
+        if abs(served_h1[j] - served_h2[j]) <= 2:
+            continue
+        if ref > 0 and abs(r1 - r2) / ref > STABILITY_TOL:
+            raise ConvergenceError(
+                f"throughput of NF {j} did not stabilize: "
+                f"half-window rates {r1:.6g} vs {r2:.6g} req/s"
+            )
+    return rates
+
+
+def _rr_events(
+    specs: Sequence[tuple[int, float, float]], visit_nf: list[int], service: list[float],
+    horizon: float, warm_end: float, mid: float,
+) -> tuple[list[int], list[int]]:
+    """Requests served per NF in each half-window, one visit at a time."""
+    n_nfs = len(specs)
     saturating = [math.isinf(rate) for (_, _, rate) in specs]
     # Deterministic open-loop arrivals, per NF, striped over its queues.
     interarrival = [
@@ -278,9 +319,6 @@ def simulate_accelerator_rr(
     ]
     next_arrival = [0.0 if not math.isinf(ia) else math.inf for ia in interarrival]
     backlog = [0] * n_nfs  # arrived-but-unserved requests of finite-rate NFs
-
-    warm_end = WARMUP_FRACTION * horizon
-    mid = warm_end + (horizon - warm_end) / 2.0
     served_h1 = [0] * n_nfs
     served_h2 = [0] * n_nfs
 
@@ -316,22 +354,45 @@ def simulate_accelerator_rr(
                 served_h1[j] += 1
             else:
                 served_h2[j] += 1
+    return served_h1, served_h2
 
-    half = (horizon - warm_end) / 2.0
-    rates = [(a + b) / (2.0 * half) for a, b in zip(served_h1, served_h2)]
-    for j in range(n_nfs):
-        r1, r2 = served_h1[j] / half, served_h2[j] / half
-        ref = max(r1, r2)
-        # A couple of requests of slack: deterministic arrivals can land
-        # just either side of the window midpoint.
-        if abs(served_h1[j] - served_h2[j]) <= 2:
-            continue
-        if ref > 0 and abs(r1 - r2) / ref > STABILITY_TOL:
-            raise ConvergenceError(
-                f"throughput of NF {j} did not stabilize: "
-                f"half-window rates {r1:.6g} vs {r2:.6g} req/s"
-            )
-    return rates
+
+def _rr_backlogged(
+    visit_nf: list[int], service: list[float], n_nfs: int,
+    horizon: float, warm_end: float, mid: float,
+) -> tuple[list[int], list[int]]:
+    """``_rr_events`` when every queue is always backlogged, vectorised.
+
+    Every visit serves, so the visit order repeats whole cycles and the
+    time after each visit is the running sum of the per-visit service
+    times.  ``np.cumsum`` adds in sequence, as ``now += service[j]`` does,
+    so the sums are the same floats.  The run is cut at the first sum at
+    or past the horizon, and the sums in each half-window are counted per
+    NF.  It goes in blocks of whole cycles, enough to pass the horizon but
+    at most ``_RR_BLOCK_VISITS`` visits (or one cycle, if that is more),
+    each block's sums starting from the last one's final ``now``, so
+    memory stays bounded for any horizon.
+    """
+    per_visit = [service[j] for j in visit_nf]
+    # Enough cycles to pass the horizon, up to a block; a short guess
+    # costs one more block.
+    cycles = max(1, int(min(_RR_BLOCK_VISITS // len(visit_nf), horizon / sum(per_visit) + 2)))
+    nf = np.tile(visit_nf, cycles)
+    steps = np.empty(len(nf) + 1)
+    steps[1:] = np.tile(per_visit, cycles)
+    served_h1 = served_h2 = np.zeros(n_nfs, dtype=np.int64)
+    now = 0.0
+    while True:
+        steps[0] = now
+        ends = np.cumsum(steps)[1:]
+        stop = int(ends.searchsorted(horizon, side="left"))
+        done, by = ends[:stop], nf[:stop]
+        served_h1 = served_h1 + np.bincount(
+            by[(done > warm_end) & (done <= mid)], minlength=n_nfs)
+        served_h2 = served_h2 + np.bincount(by[done > mid], minlength=n_nfs)
+        if stop < len(ends):
+            return served_h1.tolist(), served_h2.tolist()
+        now = ends[-1]
 
 
 def _default_horizon(specs: Sequence[tuple[int, float, float]]) -> float:

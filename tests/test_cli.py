@@ -429,6 +429,20 @@ def test_predict_rejects_bad_gbr_number(flowmonitor_bundle, tmp_path, capsys, ke
     assert key in _invalid_input_message(capsys)
 
 
+@pytest.mark.parametrize("part,version", [
+    (lambda doc: doc, 99), (lambda doc: doc["mem_model"], 7),
+], ids=["bundle", "mem-model"])
+def test_predict_rejects_unknown_schema_version(flowmonitor_bundle, tmp_path, capsys,
+                                                part, version):
+    # A document of another format version must not be read as this one.
+    doc = read_json(flowmonitor_bundle)
+    part(doc)["schema_version"] = version
+    bundle = tmp_path / "future.bundle.json"
+    bundle.write_text(json.dumps(doc))
+    assert _predict(tmp_path, bundle, {"accel": {"regex_accel": []}}) == 2
+    assert f"schema_version {version} is not supported" in _invalid_input_message(capsys)
+
+
 def test_evaluate_checks_domain_before_simulating(flowmonitor_bundle, tmp_path, capsys,
                                                   monkeypatch):
     # Outside the profiled domain the simulator need not return; the point
@@ -501,6 +515,15 @@ def _train_without_nf(tmp, bundle):
             "--out", str(tmp / "nat.bundle.json")]
 
 
+def _simulate_queue_count(count):
+    def argv(tmp, bundle):
+        doc = read_json(SCENARIO)
+        doc["nfs"][0]["spec"]["queue_count"] = count
+        return ["simulate", "--scenario", _write(tmp / "scenario.json", doc),
+                "--out", str(tmp / "sim.json")]
+    return argv
+
+
 def _report_without_nic_count(tmp, bundle):
     doc = {"schema": "placement-report", "nf_count": 1, "violating_instances": []}
     return ["report", "--inputs", _write(tmp / "report.json", doc), "--out", str(tmp / "r")]
@@ -533,12 +556,13 @@ def _report_without_nic_count(tmp, bundle):
     (_train_without_nf, ["_Manifest", "'nf'"]),
     (_report_without_nic_count, ["_ScoredReport", "'nic_count'"]),
     (_evaluate_on(b'{"points": [], "note": "\xff"}'), ["grid.json", "UTF-8"]),
+    (_simulate_queue_count(10**400), ["NfSpec.queue_count", "at most 64 bits"]),
 ], ids=["grid-points-not-a-list", "levels-list", "accel-level-pair", "memory-level-nan",
         "memory-level-negative", "arrival-not-an-object", "arrival-without-max-drop-ratio",
         "inline-arrival-string-ratio", "inline-arrival-numeric-id",
         "full-grid-string", "full-grid-unknown-attribute", "full-resources-object",
         "sweep-without-stop", "manifest-without-nf", "report-without-nic-count",
-        "not-utf8"])
+        "not-utf8", "queue-count-oversized"])
 def test_bad_input_file_is_invalid_input(flowmonitor_bundle, tmp_path, capsys, argv, words):
     assert main(argv(tmp_path, flowmonitor_bundle)) == 2
     message = _invalid_input_message(capsys)
@@ -621,7 +645,7 @@ _BUNDLES = st.fixed_dictionaries(
     {"schema": st.just("nf-predictor"), "nf": _TEXT,
      "pattern": _PATTERNS,
      "solo_table": _SOLO_TABLES, "footprint": _FOOTPRINTS},
-    optional={"schema_version": st.integers(0, 9), "mem_model": st.none() | _GBR_DOCS,
+    optional={"schema_version": st.just(1), "mem_model": st.none() | _GBR_DOCS,
               "accel_models": st.dictionaries(_ACCELS, _ACCEL_PARAMS, max_size=1),
               "metadata": st.dictionaries(_TEXT, st.integers(), max_size=2)})
 _INSTANCES = st.fixed_dictionaries({
@@ -686,7 +710,7 @@ _INPUT_DOCS = {
     # The wire leaves trees to GbrModel, so here they are opaque objects.
     _GbrWire: st.fixed_dictionaries({**_GBR_HEAD, "trees": st.lists(
         st.dictionaries(_TEXT, st.integers()), max_size=2)},
-        optional={"schema": _TEXT, "schema_version": st.integers(0, 9)}),
+        optional={"schema": _TEXT, "schema_version": st.just(1)}),
     GbrModel: _GBR_DOCS,
     NfStage: _STAGES,
     NfSpec: _SPECS,

@@ -13,6 +13,7 @@ from nicperf.core import (
     band_accuracy,
     mape,
 )
+from nicperf.mem_model import GbrHyperParams
 from nicperf.predictor import PredictionResult
 from nicperf.profiler import ProfilingConfig
 from nicperf.simulator import SimulationResult
@@ -196,3 +197,15 @@ def test_codec_scalars_are_not_coerced(cls, doc, match):
 def test_codec_reads_integral_float_as_int():
     flows = TrafficProfile.from_dict({"flow_count": 16000.0}).flow_count
     assert flows == 16000 and type(flows) is int
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -(2**63), 9.2e18])
+def test_codec_reads_64_bit_integers(seed):
+    assert GbrHyperParams.from_dict({"seed": seed}).seed == seed
+
+
+@pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 10**400, 1e300])
+def test_codec_rejects_integers_beyond_64_bits(seed):
+    # Beyond 64 bits an integer reaches arithmetic that can overflow.
+    with pytest.raises(InvalidInputError, match="GbrHyperParams.seed: .* at most 64 bits"):
+        GbrHyperParams.from_dict({"seed": seed})

@@ -13,6 +13,7 @@ from nicperf.core import (
     TrafficProfile,
 )
 from nicperf.mem_model import (
+    _QS,
     _TREE_KEYS,
     FEATURE_NAMES,
     MAX_BINS,
@@ -20,6 +21,7 @@ from nicperf.mem_model import (
     GbrHyperParams,
     GbrModel,
     _fit_tree,
+    _sorted_quantiles,
     feature_vector,
     predict,
     train,
@@ -427,6 +429,40 @@ def test_sorted_split_search_matches_reference(case):
         ref_tree, ref_reached = _reference_fit_tree(x, residual, max_depth, min_leaf)
     assert json.dumps(tree) == json.dumps(ref_tree)
     assert reached.tobytes() == ref_reached.tobytes()
+
+
+def _quantile_row(rng, kind, k):
+    if kind == "extreme":
+        # +-1.7e308 with 0 between them, so no neighbouring difference
+        # overflows, and the smallest subnormals.
+        return np.append(rng.choice([-1.7e308, -5e-324, 0.0, 5e-324, 1.7e308], k - 1), 0.0)
+    if kind == "scaled":  # few integers, scaled to tiny, unit or huge values
+        return rng.integers(0, 70, k) * rng.choice([1e-300, 1.0, 1e300])
+    if kind == "lognormal":
+        return rng.lognormal(size=k) * 10.0 ** rng.integers(-300, 300)
+    return _column(rng, kind, k)  # ties, adjacent floats and the rest
+
+
+@st.composite
+def _sorted_rows(draw):
+    k = draw(st.integers(MAX_BINS + 1, 400))
+    kinds = draw(st.lists(st.sampled_from(["ties", "adjacent", "extreme", "scaled",
+                                           "lognormal", "many", "few"]),
+                          min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.sort(np.stack([_quantile_row(rng, kind, k) for kind in kinds]), axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sorted_rows())
+@example(np.sort(np.repeat([[-1.7e308, 0.0, 1.7e308], [0.0, 5e-324, 1e-323]], 30, axis=1),
+                 axis=1))
+def test_sorted_quantiles_match_numpy(xs):
+    qs = _sorted_quantiles(xs)
+    assert qs.tobytes() == np.ascontiguousarray(np.quantile(xs, _QS, axis=1).T).tobytes()
+    # _best_split drops each cut point equal to its left neighbour, which
+    # leaves np.unique's values only while the row is non-decreasing.
+    assert (np.diff(qs, axis=1) >= 0).all()
 
 
 def _reference_train(samples):

@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nicperf import simulator
@@ -158,6 +158,37 @@ def test_rr_matches_reference(specs, cycles):
     if all(math.isinf(rate) for _, _, rate in specs):
         for i, r in enumerate(rates):
             assert r == pytest.approx(equilibrium(specs, i), rel=0.02)
+
+
+# Runs in which every queue is backlogged take the vectorised path: 1-4 NFs
+# of 1-3 queues, over horizons from a twentieth of one round-robin cycle to
+# 3000 cycles, computed in blocks of one visit (one cycle each) up to the
+# default block.
+_RR_BACKLOGGED = st.lists(st.tuples(
+    st.integers(1, 3), st.floats(0.3, 25.0).map(lambda us: us * 1e-6), st.just(math.inf),
+), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=_RR_BACKLOGGED,
+       cycles=st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 3000.0)),
+       block=st.sampled_from([1, 5, 64, simulator._RR_BLOCK_VISITS]))
+@example(specs=[(2, 5e-6, math.inf)], cycles=0.5, block=simulator._RR_BLOCK_VISITS)
+@example(specs=[(3, 8e-7, math.inf), (3, 3.2e-6, math.inf)], cycles=0.6, block=5)
+def test_rr_backlogged_matches_reference(specs, cycles, block):
+    horizon = horizon_for(specs, cycles)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_RR_BLOCK_VISITS", block)
+        mp.setattr(simulator, "_rr_events", None)  # only the vectorised path may run
+        try:
+            expect = _reference_rr(specs, horizon)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                simulate_accelerator_rr(specs, horizon)
+            return
+        rates = simulate_accelerator_rr(specs, horizon)
+    assert rates == expect
+    assert all(type(r) is float for r in rates)
 
 
 def test_rr_open_loop_below_capacity_serves_offered_rate():
