@@ -13,7 +13,6 @@ from nicperf.core import (
     band_accuracy,
     mape,
 )
-from nicperf.mem_model import GbrHyperParams
 from nicperf.predictor import PredictionResult
 from nicperf.profiler import ProfilingConfig
 from nicperf.simulator import SimulationResult
@@ -172,6 +171,7 @@ def test_codec_rejects_wrong_shape_naming_class_and_key(cls, doc, match):
 
 _EMPTY_RESULT = {"per_nf_throughput": {}, "per_nf_counters": {},
                  "per_nf_stage_throughput": {}, "bottleneck": {}}
+_BEYOND_64_BITS = "ProfilingConfig.seed: expected an integer of at most 64 bits"
 
 
 @pytest.mark.parametrize("cls,doc,match", [
@@ -186,9 +186,15 @@ _EMPTY_RESULT = {"per_nf_throughput": {}, "per_nf_counters": {},
      "ProfilingConfig.attributes: expected a string"),
     (SimulationResult, {**_EMPTY_RESULT, "bottleneck": [["nat", "memory"]]},
      "SimulationResult.bottleneck: expected an object"),
+    # Beyond 64 bits an integer reaches arithmetic that can overflow.
+    (ProfilingConfig, {"attributes": _ATTRS, "seed": 2**63}, _BEYOND_64_BITS),
+    (ProfilingConfig, {"attributes": _ATTRS, "seed": -(2**63) - 1}, _BEYOND_64_BITS),
+    (ProfilingConfig, {"attributes": _ATTRS, "seed": 10**400}, _BEYOND_64_BITS),
+    (ProfilingConfig, {"attributes": _ATTRS, "seed": 1e300}, _BEYOND_64_BITS),
 ], ids=["int-given-fraction", "int-given-overflow", "int-given-bool", "float-given-string",
         "float-given-huge-int", "quota-fraction", "seed-fraction", "str-given-object",
-        "dict-given-list"])
+        "dict-given-list", "int-above-64-bits", "int-below-64-bits", "int-given-huge-int",
+        "int-given-huge-float"])
 def test_codec_scalars_are_not_coerced(cls, doc, match):
     with pytest.raises(InvalidInputError, match=match):
         cls.from_dict(doc)
@@ -201,11 +207,4 @@ def test_codec_reads_integral_float_as_int():
 
 @pytest.mark.parametrize("seed", [2**63 - 1, -(2**63), 9.2e18])
 def test_codec_reads_64_bit_integers(seed):
-    assert GbrHyperParams.from_dict({"seed": seed}).seed == seed
-
-
-@pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 10**400, 1e300])
-def test_codec_rejects_integers_beyond_64_bits(seed):
-    # Beyond 64 bits an integer reaches arithmetic that can overflow.
-    with pytest.raises(InvalidInputError, match="GbrHyperParams.seed: .* at most 64 bits"):
-        GbrHyperParams.from_dict({"seed": seed})
+    assert ProfilingConfig.from_dict({"attributes": _ATTRS, "seed": seed}).seed == seed
