@@ -113,6 +113,9 @@ class ProfilingConfig(Codec):
                 raise InvalidInputError("eps0 and eps1 must be finite and positive")
         if not 0 < self.min_box_frac < 1:
             raise InvalidInputError("min_box_frac must be in (0, 1)")
+        # np.random.default_rng would reject it with a ValueError.
+        if self.seed < 0:
+            raise InvalidInputError(f"ProfilingConfig.seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "attributes",
                            tuple((str(n), float(a), float(b))
                                  for n, a, b in self.attributes))
@@ -138,6 +141,8 @@ class FullProfileConfig(Codec):
         if not grid or not all(grid.values()) or \
                 not all(map(math.isfinite, itertools.chain(*grid.values()))):
             raise InvalidInputError("FullProfileConfig.grid: need finite values per attribute")
+        if self.seed < 0:
+            raise InvalidInputError(f"FullProfileConfig.seed must be >= 0, got {self.seed}")
         size = self.draws_per_cell * math.prod(map(len, grid.values()))
         if not 0 < size <= FULL_PROFILE_CAP:
             raise InvalidInputError(f"full grid would need {size} samples, not 1 to the cap "

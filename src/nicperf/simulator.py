@@ -82,6 +82,12 @@ _RR_BLOCK_VISITS = 1 << 13
 #: with MB = 10**6 bytes.  Request times grow with mtbr, and a round-robin
 #: run under a far larger one would not finish.
 _MAX_MTBR = 1e6
+#: Most request queues an NF may have.  A round-robin run visits every
+#: queue about SIM_CYCLES times, so its cost grows with the queue count:
+#: ``nicperf simulate`` on scenarios/example.json with flowmonitor at 64
+#: queues took 4 s on a 2-core host, at 256 queues 42 s, and at 1024 did
+#: not finish in 120 s.
+_MAX_QUEUES = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -163,8 +169,9 @@ class NfSpec(Codec):
     wss_override: float | None = None
 
     def __post_init__(self) -> None:
-        if self.queue_count < 1:
-            raise InvalidInputError("queue_count must be >= 1")
+        if not 1 <= self.queue_count <= _MAX_QUEUES:
+            raise InvalidInputError(
+                f"{self.name}: queue_count must be in [1, {_MAX_QUEUES}], got {self.queue_count}")
         if not self.stages:
             raise InvalidInputError("an NF needs at least one stage")
         kinds = [s.resource for s in self.stages]
@@ -268,8 +275,8 @@ def simulate_accelerator_rr(
     if horizon <= 0:
         raise InvalidInputError(f"horizon must be positive, got {horizon}")
     for n, t, rate in specs:
-        if n < 1:
-            raise InvalidInputError("queue_count must be >= 1")
+        if not 1 <= n <= _MAX_QUEUES:
+            raise InvalidInputError(f"queue_count must be in [1, {_MAX_QUEUES}], got {n}")
         if t <= 0:
             raise InvalidInputError("per_request_time must be positive")
         if rate < 0:

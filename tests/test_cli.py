@@ -176,6 +176,26 @@ def test_simulate_rejects_mtbr_above_one_match_per_byte(tmp_path, capsys, monkey
     assert not (tmp_path / "sim.json").exists()
 
 
+@pytest.mark.parametrize("queues", [65, 2**20, 2**62])
+def test_simulate_rejects_queue_count_above_bound(tmp_path, capsys, monkeypatch, queues):
+    # Checked when the scenario is read: a round-robin run over 2**20
+    # queues would not finish, and one over 2**62 would run out of memory.
+    def run(*args, **kwargs):
+        raise AssertionError(f"simulated a scenario with {queues} queues")
+
+    monkeypatch.setattr("nicperf.cli.run_scenario", run)
+    doc = read_json(SCENARIO)
+    doc["nfs"][0]["spec"]["queue_count"] = queues
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["simulate", "--scenario", str(scenario),
+               "--out", str(tmp_path / "sim.json")])
+    assert rc == 2
+    assert _invalid_input_message(capsys) == (
+        f"flowmonitor: queue_count must be in [1, 64], got {queues}")
+    assert not (tmp_path / "sim.json").exists()
+
+
 @pytest.mark.parametrize("missing", ["bundle", "traffic", "max_drop_ratio"])
 def test_schedule_eval_rejects_resident_without_key(tmp_path, capsys, missing):
     resident = {"instance_id": "fm-0", "bundle": {},
@@ -574,6 +594,20 @@ def test_profile_rejects_nan_threshold(tmp_path, capsys):
     assert main(["profile", "--nf", "nat", "--strategy", "adaptive", "--config", cfg,
                  "--out", str(tmp_path / "nat.jsonl")]) == 2
     assert "eps0" in _invalid_input_message(capsys)
+
+
+@pytest.mark.parametrize("strategy,cfg", [
+    ("random", {"attributes": [["mtbr", 0, 1100]], "quota": 30}),
+    ("full", {"grid": {"flow_count": [1000, 2000]}}),
+], ids=["random", "full"])
+@pytest.mark.parametrize("in_config", [True, False], ids=["config", "option"])
+def test_profile_rejects_negative_seed(tmp_path, capsys, strategy, cfg, in_config):
+    argv = ["profile", "--nf", "nat", "--strategy", strategy,
+            "--out", str(tmp_path / "nat.jsonl"),
+            "--config", _write(tmp_path / "cfg.json", {**cfg, "seed": -1} if in_config else cfg)]
+    assert main(argv if in_config else [*argv, "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in _invalid_input_message(capsys)
+    assert not (tmp_path / "nat.jsonl").exists()
 
 
 def test_full_profile_then_train(tmp_path):

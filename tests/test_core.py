@@ -13,6 +13,7 @@ from nicperf.core import (
     band_accuracy,
     mape,
 )
+from nicperf.mem_model import GbrHyperParams
 from nicperf.predictor import PredictionResult
 from nicperf.profiler import ProfilingConfig
 from nicperf.simulator import SimulationResult
@@ -207,4 +208,5 @@ def test_codec_reads_integral_float_as_int():
 
 @pytest.mark.parametrize("seed", [2**63 - 1, -(2**63), 9.2e18])
 def test_codec_reads_64_bit_integers(seed):
-    assert ProfilingConfig.from_dict({"attributes": _ATTRS, "seed": seed}).seed == seed
+    # GbrHyperParams.seed is a signed integer with no domain bound of its own.
+    assert GbrHyperParams.from_dict({"seed": seed}).seed == seed

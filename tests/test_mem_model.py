@@ -268,6 +268,12 @@ def test_one_tree_doc_is_valid():
     {"threshold": [None, 0.0, 0.0]},
     {"value": [0.0, float("nan"), 2.0]},
     {"feature": ["x", -1, -1]},
+    # A leaf's value takes its threshold slot in memory, so each node's
+    # unused slot must be +0.0, bit for bit.
+    {"threshold": [1.0, 0.5, 0.0]},
+    {"threshold": [1.0, 0.0, -0.0]},
+    {"value": [3.0, 1.0, 2.0]},
+    {"value": [-0.0, 1.0, 2.0]},
 ])
 def test_malformed_tree_rejected(fields):
     with pytest.raises(InvalidInputError):
@@ -371,9 +377,10 @@ def _reference_fit_tree(x, residual, max_depth, min_leaf):
 
 
 def _sorted_fit_tree(x, residual, max_depth, min_leaf):
-    """``_fit_tree`` on the column blocks ``train`` sorts once."""
+    """``_fit_tree`` on the column blocks ``train`` sorts once, with a fresh memo."""
     xT = np.ascontiguousarray(x.T)
-    return _fit_tree(xT, np.argsort(xT, axis=1, kind="stable"), residual, max_depth, min_leaf)
+    return _fit_tree(xT, np.argsort(xT, axis=1, kind="stable"), residual, max_depth, min_leaf,
+                     {})
 
 
 def _column(rng, kind, k):
@@ -429,6 +436,26 @@ def test_sorted_split_search_matches_reference(case):
         ref_tree, ref_reached = _reference_fit_tree(x, residual, max_depth, min_leaf)
     assert json.dumps(tree) == json.dumps(ref_tree)
     assert reached.tobytes() == ref_reached.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_training_block(), st.integers(2, 30))
+@example(_QUANTILE_TIE, 3)
+def test_boosting_with_shared_memo_matches_reference(case, n_trees):
+    """``train``'s loop: every tree after the first meets the memo that the
+    trees before it filled, and must still match the per-node search."""
+    x, y, max_depth, min_leaf = case
+    xT = np.ascontiguousarray(x.T)
+    order = np.argsort(xT, axis=1, kind="stable")
+    memo = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = np.full(len(y), y.mean())
+        for _ in range(n_trees):
+            tree, reached = _fit_tree(xT, order, y - current, max_depth, min_leaf, memo)
+            ref_tree, ref_reached = _reference_fit_tree(x, y - current, max_depth, min_leaf)
+            assert json.dumps(tree) == json.dumps(ref_tree)
+            assert reached.tobytes() == ref_reached.tobytes()
+            current = current + 0.1 * reached
 
 
 def _quantile_row(rng, kind, k):

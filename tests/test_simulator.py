@@ -199,8 +199,9 @@ def test_rr_open_loop_below_capacity_serves_offered_rate():
 
 
 def test_rr_input_validation():
-    with pytest.raises(InvalidInputError):
-        simulate_accelerator_rr([(0, 1e-6, math.inf)], 1.0)
+    for queues in (0, 65, 2**20):
+        with pytest.raises(InvalidInputError, match="queue_count must be in"):
+            simulate_accelerator_rr([(queues, 1e-6, math.inf)], 1.0)
     with pytest.raises(InvalidInputError):
         simulate_accelerator_rr([(1, 0.0, math.inf)], 1.0)
     with pytest.raises(InvalidInputError):
@@ -358,6 +359,12 @@ def test_scenario_validation():
 def test_nf_spec_validation():
     with pytest.raises(InvalidInputError):
         NfSpec(name="bad", pattern=ExecutionPattern.PIPELINE, stages=())
+    stages = (NfStage(ResourceKind.REGEX_ACCEL, 1e-6),)
+    NfSpec(name="ok", pattern=ExecutionPattern.PIPELINE, stages=stages, queue_count=64)
+    for queues in (0, 65, 2**62):
+        with pytest.raises(InvalidInputError, match="bad: queue_count must be in"):
+            NfSpec(name="bad", pattern=ExecutionPattern.PIPELINE, stages=stages,
+                   queue_count=queues)
     with pytest.raises(InvalidInputError):
         NfSpec(
             name="bad",
