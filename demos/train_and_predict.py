@@ -13,18 +13,10 @@ import time
 
 import numpy as np
 
-from nicperf.accel_model import AccelModelParams
-from nicperf.catalog import ATTRIBUTE_RANGES, SimulatorRunner, get_nf
-from nicperf.core import (
-    DEFAULT_TRAFFIC,
-    ResourceKind,
-    TrafficProfile,
-    band_accuracy,
-    mape,
-)
-from nicperf.predictor import ACCEL_ATTRIBUTE, ContentionDescriptor, build
+from nicperf.catalog import ATTRIBUTE_RANGES, SimulatorRunner, bench_contention, get_nf
+from nicperf.core import ResourceKind, TrafficProfile, band_accuracy, mape
+from nicperf.predictor import build
 from nicperf.profiler import ProfilingConfig
-from nicperf.simulator import make_benchmark_nf
 
 
 def main():
@@ -60,23 +52,11 @@ def main():
         u = float(rng.uniform())
         v = float(rng.uniform())
         levels = {ResourceKind.MEMORY: u}
-        accel = {}
-        for kind in bundle.accel_models:
-            if kind is ResourceKind.REGEX_ACCEL and v > 0:
-                levels[kind] = v
-                # The same benchmark NF the runner co-runs at this level.
-                bench = make_benchmark_nf(kind, v)
-                (stage,) = bench.stages
-                params = AccelModelParams(
-                    queue_count=bench.queue_count, t0=stage.base_time,
-                    a=sum(stage.traffic_coeffs.values()), resource=kind)
-                attr = DEFAULT_TRAFFIC.attribute(ACCEL_ATTRIBUTE[kind])
-                accel[kind] = ((params, attr, bench.offered_rate),)
-            else:
-                accel[kind] = ()
+        if ResourceKind.REGEX_ACCEL in bundle.accel_models and v > 0:
+            levels[ResourceKind.REGEX_ACCEL] = v
         sample = runner.sample(f"demo-{i}", traffic, levels)
-        desc = ContentionDescriptor(counters=sample.competitor_counters,
-                                    accel=accel)
+        # The same benchmark NFs the runner co-ran at these levels.
+        desc = bench_contention(bundle.accel_models, levels, sample.competitor_counters)
         preds.append(bundle.predict(traffic, desc).throughput)
         actuals.append(sample.observed_throughput)
 

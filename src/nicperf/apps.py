@@ -288,7 +288,7 @@ class _Oracle:
         """Simulated throughput of each instance's catalog NF, renamed."""
         result = run_scenario(ContentionScenario(
             nfs=tuple(
-                (dataclasses.replace(get_nf(i.predictor.nf_name), name=name),
+                (dataclasses.replace(get_nf(i.predictor.nf), name=name),
                  i.traffic)
                 for name, i in named
             ),
@@ -296,7 +296,7 @@ class _Oracle:
         return dict(result.per_nf_throughput)
 
     def solo_throughput(self, inst: NfInstance) -> float:
-        key = (inst.predictor.nf_name, inst.traffic)
+        key = (inst.predictor.nf, inst.traffic)
         hit = self._solo_memo.get(key)
         if hit is None:
             hit = self._throughputs([("solo", inst)])["solo"]
@@ -329,6 +329,8 @@ class PlacementReport(Codec):
         return 100.0 * len(self.violating_instances) / self.nf_count
 
     def wastage_pct(self, optimum_nics: int) -> float:
+        if optimum_nics == self.nic_count == 0:  # an empty fleet is optimal
+            return 0.0
         if optimum_nics <= 0:
             raise InvalidInputError("optimum NIC count must be positive")
         return 100.0 * (self.nic_count - optimum_nics) / optimum_nics

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from .accel_model import AccelModelParams
 from .core import (
     DEFAULT_TRAFFIC,
     CounterSnapshot,
@@ -27,6 +28,7 @@ from .core import (
     ThroughputSample,
     TrafficProfile,
 )
+from .predictor import ACCEL_ATTRIBUTE, ContentionDescriptor
 from .simulator import (
     ContentionScenario,
     NfSpec,
@@ -44,6 +46,7 @@ __all__ = [
     "ATTRIBUTE_RANGES",
     "get_nf",
     "SimulatorRunner",
+    "bench_contention",
 ]
 
 #: Profiling bounds per traffic attribute.
@@ -234,3 +237,22 @@ class SimulatorRunner:
         )
         result = self._execute(DEFAULT_TRAFFIC, {}, saturate=True, extra=bench)
         return result.per_nf_stage_throughput[self.spec.name][kind]
+
+
+def bench_contention(kinds, levels, counters: CounterSnapshot) -> ContentionDescriptor:
+    """What a ``SimulatorRunner`` co-run at ``levels``, whose competitors emit
+    ``counters``, puts on each accelerator of ``kinds``: its benchmark NF."""
+    accel = {}
+    for kind in kinds:
+        lvl = levels.get(kind, 0.0)
+        if lvl <= 0:
+            accel[kind] = ()
+            continue
+        bench = make_benchmark_nf(kind, lvl)
+        (stage,) = bench.stages
+        params = AccelModelParams(
+            queue_count=bench.queue_count, t0=stage.base_time,
+            a=sum(stage.traffic_coeffs.values()), resource=kind)
+        attr = DEFAULT_TRAFFIC.attribute(ACCEL_ATTRIBUTE[kind])
+        accel[kind] = ((params, attr, bench.offered_rate),)
+    return ContentionDescriptor(counters=counters, accel=accel)

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .accel_model import AccelModelParams, InferenceError
+from .accel_model import InferenceError
 from .apps import (
     OPTIMUM_MAX_INSTANCES,
     Fleet,
@@ -37,7 +37,7 @@ from .apps import (
     optimal_nic_count,
     place_sequence,
 )
-from .catalog import ATTRIBUTE_RANGES, SimulatorRunner, get_nf
+from .catalog import ATTRIBUTE_RANGES, SimulatorRunner, bench_contention, get_nf
 from .composer import AmbiguousPatternError
 from .core import (
     DEFAULT_TRAFFIC,
@@ -50,7 +50,6 @@ from .core import (
     mape,
 )
 from .predictor import (
-    ACCEL_ATTRIBUTE,
     ContentionDescriptor,
     ExtrapolationError,
     NfPredictor,
@@ -61,6 +60,7 @@ from .profiler import (
     ProfilingConfig,
     QuotaExhaustedError,
     Strategy,
+    _make_traffic,
     adaptive_profile,
     full_profile,
     load_dataset,
@@ -71,11 +71,11 @@ from .simulator import (
     ContentionScenario,
     ConvergenceError,
     SimulationResult,
-    make_benchmark_nf,
     run_scenario,
 )
 
 REPORT_SCHEMA_VERSION = 1
+_FLEET_SCHEMA = "fleet"
 
 _ERROR_TYPES = {
     ExtrapolationError: "out-of-domain",
@@ -222,24 +222,6 @@ class _ScoredReport(PlacementReport):
     optimum_nic_count: int | None = None
 
 
-def _bench_descriptor(bundle: NfPredictor, levels: dict, counters) -> ContentionDescriptor:
-    """Contention descriptor for co-running against benchmark NFs."""
-    accel = {}
-    for kind in bundle.accel_models:
-        lvl = levels.get(kind, 0.0)
-        if lvl <= 0:
-            accel[kind] = ()
-            continue
-        bench = make_benchmark_nf(kind, lvl)
-        (stage,) = bench.stages
-        params = AccelModelParams(
-            queue_count=bench.queue_count, t0=stage.base_time,
-            a=sum(stage.traffic_coeffs.values()), resource=kind)
-        attr = DEFAULT_TRAFFIC.attribute(ACCEL_ATTRIBUTE[kind])
-        accel[kind] = ((params, attr, bench.offered_rate),)
-    return ContentionDescriptor(counters=counters, accel=accel)
-
-
 def _config_from_dataset(dataset) -> ProfilingConfig:
     cfg = dataset.config
     if "attributes" in cfg:
@@ -296,7 +278,7 @@ def cmd_predict(args) -> int:
     traffic = TrafficProfile.from_dict(_load_json(args.traffic))
     contention = ContentionDescriptor.from_dict(_load_json(args.contention))
     result = bundle.predict(traffic, contention)
-    doc = {"schema": "prediction", "nf": bundle.nf_name, **result.to_dict()}
+    doc = {"schema": "prediction", "nf": bundle.nf, **result.to_dict()}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -309,7 +291,7 @@ def cmd_predict(args) -> int:
 
 def _evaluator(bundle_text: str) -> tuple[NfPredictor, SimulatorRunner]:
     bundle = NfPredictor.from_json(bundle_text)
-    return bundle, SimulatorRunner(get_nf(bundle.nf_name))
+    return bundle, SimulatorRunner(get_nf(bundle.nf))
 
 
 def _evaluate_point(bundle: NfPredictor, runner: SimulatorRunner,
@@ -322,7 +304,7 @@ def _evaluate_point(bundle: NfPredictor, runner: SimulatorRunner,
     """
     bundle.solo_table.check_bounds(point.traffic)
     sample = runner.sample("eval", point.traffic, point.levels)
-    desc = _bench_descriptor(bundle, point.levels, sample.competitor_counters)
+    desc = bench_contention(bundle.accel_models, point.levels, sample.competitor_counters)
     pred = bundle.predict(point.traffic, desc)
     return sample.observed_throughput, pred.throughput
 
@@ -399,13 +381,16 @@ def _load_arrivals(path: str) -> list[NfInstance]:
 def cmd_schedule(args) -> int:
     arrivals = _load_arrivals(args.arrivals)
     fleet = place_sequence(arrivals, PlacementStrategy(args.strategy))
-    _dump_json({"schema": "fleet", **fleet.to_dict()}, args.out)
+    _dump_json({"schema": _FLEET_SCHEMA, **fleet.to_dict()}, args.out)
     _write_manifest("schedule", args, [args.arrivals], [args.out])
     return 0
 
 
 def cmd_schedule_eval(args) -> int:
-    fleet = Fleet.from_dict(_load_json(args.fleet))
+    doc = _load_json(args.fleet)
+    if not isinstance(doc, dict) or doc.get("schema") != _FLEET_SCHEMA:
+        raise InvalidInputError("not a fleet file")
+    fleet = Fleet.from_dict(doc)
     report = evaluate_placement(fleet)
     out_doc = {"schema": "placement-report", **report.to_dict()}
     n = report.nf_count
@@ -425,19 +410,18 @@ def cmd_schedule_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    bundle = NfPredictor.from_json(_read_text(args.bundle))
+    bundle, runner = _evaluator(_read_text(args.bundle))
     sweep = _Sweep.from_dict(_load_json(args.sweep))
     attr, levels = sweep.attribute, sweep.levels
-    runner = SimulatorRunner(get_nf(bundle.nf_name))
 
     rows = []
     agree = 0
     for v in sweep.values:
-        traffic = sweep.traffic.replace(**{attr: int(round(v)) if attr != "mtbr" else v})
+        traffic = _make_traffic({attr: v}, base=sweep.traffic)
         result = runner.run(traffic, levels)
-        truth = result.bottleneck[bundle.nf_name]
+        truth = result.bottleneck[bundle.nf]
         sample = runner.sample(f"diag-{v:g}", traffic, levels)
-        desc = _bench_descriptor(bundle, levels, sample.competitor_counters)
+        desc = bench_contention(bundle.accel_models, levels, sample.competitor_counters)
         pred = diagnose(bundle, traffic, desc)
         agree += pred == truth
         rows.append((v, pred.value, truth.value, pred == truth))

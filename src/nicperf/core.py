@@ -135,8 +135,20 @@ def _converters(hint) -> tuple[Callable, Callable]:
         return (lambda v: [dec(e) for e in _list_in(v)]), (lambda v: [enc(e) for e in v])
     if origin in (dict, Mapping):
         (kdec, kenc), (vdec, venc) = _converters(args[0]), _converters(args[1])
-        return ((lambda v: {kdec(k): vdec(e) for k, e in _dict_in(v).items()}),
-                (lambda v: {kenc(k): venc(e) for k, e in v.items()}))
+
+        def dec_dict(v):
+            out = {}
+            for k, e in _dict_in(v).items():
+                key = kdec(k)
+                try:
+                    out[key] = vdec(e)
+                except Exception as exc:
+                    # For Codec.from_dict's message: the keys down to the value.
+                    exc.key_path = (k, *getattr(exc, "key_path", ()))
+                    raise
+            return out
+
+        return dec_dict, (lambda v: {kenc(k): venc(e) for k, e in v.items()})
     raise TypeError(f"no wire format for type {hint!r}")
 
 
@@ -164,7 +176,7 @@ class Codec:
     JSON list as the tuple.  A missing key takes the field's default;
     unknown keys are ignored, so rows written with fields since removed
     still load.  A bad or missing value raises InvalidInputError naming
-    the class and the key.
+    the class and the key, and in a dict the keys down to the value.
     """
 
     def to_dict(self) -> dict:
@@ -183,7 +195,8 @@ class Codec:
                 except InvalidInputError:
                     raise
                 except (ValueError, TypeError, AttributeError, OverflowError) as exc:
-                    raise InvalidInputError(f"{cls.__name__}.{name}: {exc}") from None
+                    path = "".join(f".{k}" for k in getattr(exc, "key_path", ()))
+                    raise InvalidInputError(f"{cls.__name__}.{name}{path}: {exc}") from None
             elif required:
                 raise InvalidInputError(f"{cls.__name__}: missing key {name!r}")
         return cls(**kw)

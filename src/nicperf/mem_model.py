@@ -313,7 +313,7 @@ def _fit_tree(
                 candidates = _candidates(xT, idx, min_leaf)
             split = _best_split(xT, rows, residual, idx, candidates)
         if split is None:
-            feat, thr, val = -1, 0.0, float(residual[rows].mean())
+            feat, thr, val = -1, 0.0, float(residual[rows].sum() / len(rows))
             reached[rows] = val
         else:
             feat, thr, left_mask = split

@@ -3,10 +3,10 @@
 build() turns an opaque NF handle (a profiling runner) into a serialized
 predictor bundle: per-resource models, the execution pattern, a solo
 throughput table, and a counter footprint for placement decisions.
-Its document is a ``_BundleWire``, which ``core.Codec`` writes and
-reads.  predict() evaluates the bundle at a (traffic, contention) point
-by computing per-resource throughput drops and composing them according
-to the NF's execution pattern.
+``NfPredictor`` is the bundle's own document, which ``core.Codec``
+writes and reads.  predict() evaluates the bundle at a (traffic,
+contention) point by computing per-resource throughput drops and
+composing them according to the NF's execution pattern.
 
 The black-box memory model is trained on the memory-path rate rather
 than raw end-to-end throughput: each profiled row's accelerator-stage
@@ -274,9 +274,10 @@ class _Footprint(Codec):
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
-class _BundleWire(Codec):
-    """A bundle document of version ``BUNDLE_VERSION``; no accelerator
-    model is keyed by ``memory``."""
+class NfPredictor(Codec):
+    """Serializable prediction bundle for one NF: a document of version
+    ``BUNDLE_VERSION``, in which no accelerator model is keyed by
+    ``memory``."""
 
     schema: str = BUNDLE_SCHEMA
     schema_version: int = BUNDLE_VERSION
@@ -294,21 +295,8 @@ class _BundleWire(Codec):
                                     f"supported; this nicperf reads version {BUNDLE_VERSION}")
         if ResourceKind.MEMORY in self.accel_models:
             raise InvalidInputError(
-                "_BundleWire.accel_models: unknown resource 'memory', expected one of "
+                "NfPredictor.accel_models: unknown resource 'memory', expected one of "
                 f"{sorted(k.value for k in ACCEL_ATTRIBUTE)}")
-
-
-@dataclasses.dataclass
-class NfPredictor:
-    """Serializable prediction bundle for one NF."""
-
-    nf_name: str
-    pattern: ExecutionPattern
-    solo_table: _SoloTable
-    mem_model: GbrModel | None
-    accel_models: dict
-    footprint: _Footprint
-    metadata: dict
 
     @property
     def resources(self) -> tuple[ResourceKind, ...]:
@@ -394,20 +382,11 @@ class NfPredictor:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return _BundleWire(
-            nf=self.nf_name, pattern=self.pattern, solo_table=self.solo_table,
-            mem_model=self.mem_model, accel_models=self.accel_models,
-            footprint=self.footprint, metadata=self.metadata,
-        ).to_dict()
-
     @classmethod
     def from_dict(cls, doc: dict) -> "NfPredictor":
         if not isinstance(doc, dict) or doc.get("schema") != BUNDLE_SCHEMA:
             raise InvalidInputError("not a predictor bundle file")
-        w = _BundleWire.from_dict(doc)
-        return cls(w.nf, w.pattern, w.solo_table, w.mem_model, w.accel_models,
-                   w.footprint, w.metadata)
+        return super().from_dict(doc)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -606,7 +585,7 @@ def build(
         "t_solo_default": t_solo_default,
     }
     return NfPredictor(
-        nf_name=nf_name,
+        nf=nf_name,
         pattern=pattern,
         solo_table=solo_table,
         mem_model=gbr,

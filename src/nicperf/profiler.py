@@ -52,6 +52,9 @@ __all__ = [
 #: Attributes stored as integers in TrafficProfile.
 _INT_ATTRS = ("flow_count", "packet_size")
 
+#: The ``schema`` of a dataset manifest.
+_DATASET_SCHEMA = "profiling-dataset"
+
 #: Hard cap on full-profiling dataset size.
 FULL_PROFILE_CAP = 20_000
 
@@ -72,11 +75,13 @@ def _check_names(owner: str, names) -> None:
             raise InvalidInputError(f"{owner}: unknown traffic attribute {name!r}")
 
 
-def _make_traffic(values: dict[str, float]) -> TrafficProfile:
+def _make_traffic(values: dict[str, float],
+                  base: TrafficProfile = DEFAULT_TRAFFIC) -> TrafficProfile:
+    """``base`` with ``values`` set, the integer attributes rounded."""
     kw = {}
     for name, v in values.items():
         kw[name] = int(round(v)) if name in _INT_ATTRS else float(v)
-    return DEFAULT_TRAFFIC.replace(**kw)
+    return base.replace(**kw)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,6 +177,11 @@ class _Book:
 
     def full(self) -> bool:
         return self.quota is not None and self.used >= self.quota
+
+    def dataset(self, config: dict, pruned: tuple[str, ...] = ()) -> ProfilingDataset:
+        """The rows collected so far, as a dataset profiled under ``config``."""
+        return ProfilingDataset(self.nf_name, self.strategy, self.rows, pruned,
+                                self.used, config)
 
 
 def _draw_levels(rng, resources) -> dict:
@@ -269,14 +279,7 @@ def adaptive_profile(nf_name: str, config: ProfilingConfig, runner) -> Profiling
         boxes.append((lo, mid))
         boxes.append((mid, hi))
 
-    return ProfilingDataset(
-        nf_name=nf_name,
-        strategy=Strategy.ADAPTIVE,
-        rows=book.rows,
-        pruned_attributes=tuple(pruned),
-        samples_used=book.used,
-        config={**config.to_dict(), "eps0": eps0, "eps1": eps1},
-    )
+    return book.dataset({**config.to_dict(), "eps0": eps0, "eps1": eps1}, tuple(pruned))
 
 
 def random_profile(nf_name: str, config: ProfilingConfig, runner) -> ProfilingDataset:
@@ -290,14 +293,7 @@ def random_profile(nf_name: str, config: ProfilingConfig, runner) -> ProfilingDa
                   for name, lo, hi in config.attributes}
         levels = _draw_levels(rng, config.contention_resources)
         profile_one(book, _make_traffic(values), levels, runner)
-    return ProfilingDataset(
-        nf_name=nf_name,
-        strategy=Strategy.RANDOM,
-        rows=book.rows,
-        pruned_attributes=(),
-        samples_used=book.used,
-        config=config.to_dict(),
-    )
+    return book.dataset(config.to_dict())
 
 
 def full_profile(nf_name: str, config: FullProfileConfig, runner) -> ProfilingDataset:
@@ -309,14 +305,7 @@ def full_profile(nf_name: str, config: FullProfileConfig, runner) -> ProfilingDa
         traffic = _make_traffic(dict(zip(names, combo)))
         for _ in range(config.draws_per_cell):
             profile_one(book, traffic, _draw_levels(rng, config.contention_resources), runner)
-    return ProfilingDataset(
-        nf_name=nf_name,
-        strategy=Strategy.FULL,
-        rows=book.rows,
-        pruned_attributes=(),
-        samples_used=book.used,
-        config=config.to_dict(),
-    )
+    return book.dataset(config.to_dict())
 
 
 # --------------------------------------------------------------------------
@@ -335,9 +324,10 @@ def save_dataset(dataset: ProfilingDataset, path: str | Path) -> Path:
         for row in dataset.rows:
             f.write(json.dumps(row.to_dict(), sort_keys=True,
                                separators=(",", ":")) + "\n")
-    manifest = {"schema": "profiling-dataset", "rows": len(dataset.rows), **_Manifest(
-        dataset.nf_name, dataset.strategy, dataset.samples_used,
-        dataset.pruned_attributes, dataset.config).to_dict()}
+    manifest = _Manifest(
+        nf=dataset.nf_name, strategy=dataset.strategy, samples_used=dataset.samples_used,
+        pruned_attributes=dataset.pruned_attributes, config=dataset.config,
+        schema=_DATASET_SCHEMA, rows=len(dataset.rows)).to_dict()
     mpath = _manifest_path(path)
     mpath.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return mpath
@@ -345,13 +335,19 @@ def save_dataset(dataset: ProfilingDataset, path: str | Path) -> Path:
 
 @dataclasses.dataclass(frozen=True)
 class _Manifest(Codec):
-    """A dataset manifest, less the ``schema`` and ``rows`` that load_dataset skips."""
+    """A dataset manifest; ``rows`` counts the rows of the JSONL beside it."""
 
     nf: str
     strategy: Strategy
     samples_used: int
     pruned_attributes: tuple[str, ...]
     config: dict
+    schema: str
+    rows: int
+
+    def __post_init__(self) -> None:
+        if self.schema != _DATASET_SCHEMA:
+            raise InvalidInputError(f"not a dataset manifest: schema {self.schema!r}")
 
 
 def load_dataset(path: str | Path) -> ProfilingDataset:
@@ -365,6 +361,9 @@ def load_dataset(path: str | Path) -> ProfilingDataset:
             "a dataset is the JSONL rows plus the manifest profile writes"
         )
     m = _Manifest.from_dict(json.loads(_read_text(mpath)))
+    if m.rows != len(rows):
+        raise InvalidInputError(f"{mpath.name} counts {m.rows} rows, but {path.name} "
+                                f"has {len(rows)}")
     return ProfilingDataset(
         nf_name=m.nf,
         strategy=m.strategy,

@@ -32,8 +32,8 @@ from nicperf.core import (
 )
 from nicperf.mem_model import FEATURE_NAMES, GbrHyperParams, GbrModel, _GbrWire
 from nicperf.predictor import (
+    NfPredictor,
     PredictionResult,
-    _BundleWire,
     _Competitor,
     _ContentionWire,
     _Curve,
@@ -139,7 +139,8 @@ def test_simulate_rejects_nf_entry_not_an_object(tmp_path, capsys):
 
 @pytest.mark.parametrize("coeffs,words", [
     ({"matchcost": 3e-9}, ["NfStage.traffic_coeffs", "'matchcost'"]),
-    ({"match_cost": math.nan}, ["NfStage.traffic_coeffs", "expected a number, got nan"]),
+    ({"match_cost": math.nan},
+     ["NfStage.traffic_coeffs.match_cost: expected a number, got nan"]),
     ({"match_cost": -3e-9}, ["NfStage.traffic_coeffs", "'match_cost'"]),
 ], ids=["misspelt", "nan", "negative"])
 def test_simulate_rejects_bad_stage_coefficient(tmp_path, capsys, coeffs, words):
@@ -261,6 +262,25 @@ def test_train_rejects_foreign_dataset(tmp_path, capsys):
     assert err["error"]["type"] == "invalid-input"
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("rows", 60, "nat.manifest.json counts 60 rows, but nat.jsonl has 35"),
+    ("schema", "run-manifest", "not a dataset manifest: schema 'run-manifest'"),
+], ids=["rows", "schema"])
+def test_train_checks_dataset_manifest(tmp_path, capsys, key, value, message):
+    # A manifest that miscounts its rows, or is no dataset manifest, would
+    # otherwise train, and the bundle would record the manifest's count.
+    dataset = tmp_path / "nat.jsonl"
+    assert main(["profile", "--nf", "nat", "--strategy", "random", "--config",
+                 str(SCENARIO.parent / "cfg.json"), "--out", str(dataset)]) == 0
+    dataset.write_text("".join(dataset.read_text().splitlines(keepends=True)[:35]))
+    manifest = tmp_path / "nat.manifest.json"
+    _write(manifest, {**read_json(manifest), "rows": 35, key: value})
+    assert main(["train", "--nf", "nat", "--dataset", str(dataset),
+                 "--out", str(tmp_path / "nat.bundle.json")]) == 2
+    assert _invalid_input_message(capsys) == message
+    assert not (tmp_path / "nat.bundle.json").exists()
+
+
 def test_evaluate_writes_summary_rows(flowmonitor_bundle, tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"points": [
@@ -310,6 +330,33 @@ def test_schedule_and_eval(flowmonitor_bundle, tmp_path):
     assert report["violation_pct"] == 0.0
     assert report["nic_count"] == report["optimum_nic_count"]
     assert report["wastage_pct"] == 0.0
+
+
+@pytest.mark.parametrize("fleet", [
+    lambda tmp: SCENARIO.parent / "cfg.json",
+    lambda tmp: _write(tmp / "fleet.json", {"nics": []}),
+], ids=["profiling-config", "no-schema"])
+def test_schedule_eval_rejects_non_fleet(tmp_path, capsys, fleet):
+    # Read as a fleet, either would score as 0 NICs with no violations.
+    report = tmp_path / "report.json"
+    assert main(["schedule-eval", "--fleet", str(fleet(tmp_path)), "--out", str(report)]) == 2
+    assert _invalid_input_message(capsys) == "not a fleet file"
+    assert not report.exists()
+
+
+def test_empty_fleet_scores_against_empty_optimum(tmp_path):
+    fleet, report = tmp_path / "fleet.json", tmp_path / "report.json"
+    assert main(["schedule", "--arrivals", _write(tmp_path / "arrivals.json", {"arrivals": []}),
+                 "--strategy", "greedy", "--out", str(fleet)]) == 0
+    assert main(["schedule-eval", "--fleet", str(fleet), "--optimum", "--out", str(report)]) == 0
+    doc = read_json(report)
+    assert (doc["nic_count"], doc["optimum_nic_count"], doc["wastage_pct"]) == (0, 0, 0.0)
+    assert main(["report", "--inputs", str(report), "--out", str(tmp_path / "r")]) == 0
+    (row,) = csv.DictReader((tmp_path / "r" / "summary.csv").open())
+    assert (row["kind"], row["wastage_pct"]) == ("placement", "0.0000")
+    # A fleet with NICs still needs an optimum of at least one.
+    with pytest.raises(InvalidInputError, match="optimum NIC count must be positive"):
+        PlacementReport(nic_count=1, nf_count=1, violating_instances=()).wastage_pct(0)
 
 
 def test_diagnose_sweep(flowmonitor_bundle, tmp_path):
@@ -553,7 +600,7 @@ def _report_without_nic_count(tmp, bundle):
     (_evaluate_on({"points": 5}), ["_Grid.points", "expected a list"]),
     (_levels([1]), ["_Point.levels", "expected an object"]),
     (_levels({"regex_accel": [0.5, 0.5]}), ["_Point.levels", "regex_accel"]),
-    (_levels({"memory": math.nan}), ["_Point.levels", "expected a number, got nan"]),
+    (_levels({"memory": math.nan}), ["_Point.levels.memory: expected a number, got nan"]),
     (_levels({"memory": -0.5}), ["_Point.levels", "memory"]),
     (_schedule({"arrivals": ["x"]}), ["_Arrivals.arrivals", "expected an object"]),
     (_schedule({"arrivals": [{"instance_id": "a", "bundle_path": "a.json",
@@ -733,7 +780,8 @@ _INPUT_DOCS = {
     _Manifest: st.fixed_dictionaries({
         "nf": _TEXT, "strategy": st.sampled_from([s.value for s in Strategy]),
         "samples_used": st.integers(0, 99), "pruned_attributes": st.lists(_TEXT),
-        "config": st.dictionaries(_TEXT, st.integers())}),
+        "config": st.dictionaries(_TEXT, st.integers()),
+        "schema": st.just("profiling-dataset"), "rows": st.integers(0, 99)}),
     TrafficProfile: _TRAFFIC_DOCS,
     CounterSnapshot: _COUNTERS,
     ThroughputSample: st.fixed_dictionaries({
@@ -769,7 +817,7 @@ _INPUT_DOCS = {
     _Curve: _CURVES,
     _SoloTable: _SOLO_TABLES,
     _Footprint: _FOOTPRINTS,
-    _BundleWire: _BUNDLES,
+    NfPredictor: _BUNDLES,
     ProfilingConfig: st.fixed_dictionaries(
         {"attributes": st.lists(_ATTRIBUTE_BOXES, min_size=1, max_size=3)},
         optional={"quota": st.integers(10, 300), "m": st.integers(1, 10),
@@ -790,7 +838,7 @@ _INPUT_DOCS = {
 
 
 # Types that compare by identity: a _Curve, a GbrModel and whatever holds one.
-_BY_IDENTITY = {_Curve, GbrModel, _SoloTable, _Footprint, _BundleWire, NfInstance, Nic, Fleet}
+_BY_IDENTITY = {_Curve, GbrModel, _SoloTable, _Footprint, NfPredictor, NfInstance, Nic, Fleet}
 
 
 def _codec_types(cls=Codec):
