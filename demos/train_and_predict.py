@@ -52,8 +52,9 @@ def main():
         u = float(rng.uniform())
         v = float(rng.uniform())
         levels = {ResourceKind.MEMORY: u}
-        if ResourceKind.REGEX_ACCEL in bundle.accel_models and v > 0:
-            levels[ResourceKind.REGEX_ACCEL] = v
+        if v > 0:
+            # A benchmark NF at level v on each accelerator the bundle models.
+            levels.update(dict.fromkeys(bundle.accel_models, v))
         sample = runner.sample(f"demo-{i}", traffic, levels)
         # The same benchmark NFs the runner co-ran at these levels.
         desc = bench_contention(bundle.accel_models, levels, sample.competitor_counters)

@@ -153,14 +153,19 @@ class SimulatorRunner:
     Contention is expressed as a mapping ResourceKind -> level in [0, 1];
     each non-zero level adds the matching benchmark NF to the scenario.
     Results are memoized per configuration, and ``runs`` counts actual
-    simulator invocations.  The simulator is deterministic, so ``seed``
-    is accepted for existing callers and has no effect.
+    simulator invocations.  Every scenario the runner simulates shares one
+    round-robin memo (``run_scenario``'s ``rr_runs``) for the runner's
+    lifetime, so touch detection, parameter inference, pattern probes and
+    profiling of one build simulate each round-robin input once.  The
+    simulator is deterministic, so ``seed`` is accepted for existing
+    callers and has no effect.
     """
 
     def __init__(self, spec: NfSpec, *, seed: int = 0):
         self.spec = spec
         self.runs = 0
         self._memo: dict = {}
+        self._rr_runs: dict = {}
 
     # -- scenario plumbing --------------------------------------------------
 
@@ -185,7 +190,7 @@ class SimulatorRunner:
             nfs.append((bench, DEFAULT_TRAFFIC))
         if extra is not None:
             nfs.append((extra, DEFAULT_TRAFFIC))
-        result = run_scenario(ContentionScenario(nfs=tuple(nfs)))
+        result = run_scenario(ContentionScenario(nfs=tuple(nfs)), rr_runs=self._rr_runs)
         self.runs += 1
         self._memo[key] = result
         return result

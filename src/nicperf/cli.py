@@ -159,6 +159,10 @@ class _Grid(Codec):
 
     points: tuple[_Point, ...]
 
+    def __post_init__(self) -> None:
+        if not self.points:
+            raise InvalidInputError("_Grid.points: the grid has no points")
+
 
 # Keyword-only: the required attribute follows the point's defaulted fields.
 @dataclasses.dataclass(frozen=True, kw_only=True)
@@ -324,6 +328,8 @@ def _worker_point(point: _Point) -> tuple[float, float]:
 
 
 def cmd_evaluate(args) -> int:
+    if args.jobs < 1:
+        raise InvalidInputError(f"--jobs must be at least 1, got {args.jobs}")
     bundle_text = _read_text(args.bundle)
     # Parsed here also with --jobs, so a bad bundle fails before any worker starts.
     evaluator = _evaluator(bundle_text)

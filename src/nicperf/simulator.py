@@ -489,16 +489,25 @@ _MEM_READ_SHARE = 0.7
 _IRT_PER_L2REF = 80.0
 
 
-def run_scenario(scenario: ContentionScenario) -> SimulationResult:
+def run_scenario(
+    scenario: ContentionScenario, rr_runs: dict[tuple, list[float]] | None = None,
+) -> SimulationResult:
     """Simulate one co-run to steady state.
 
     Per-stage contended rates are computed self-consistently: an NF's
     emitted cache traffic scales with its throughput, and its offered
     rate at an accelerator is capped by its other stages.  The fixed
     point is damped (0.5) and must settle within 0.1% in 100 iterations.
-    A round-robin input met again in a later iteration (a saturated NF
-    alone on its accelerator meets the same one in every iteration) is
-    not simulated again.
+    A round-robin input met again (a saturated NF alone on its
+    accelerator meets the same one in every iteration) is not simulated
+    again.  ``rr_runs`` maps each round-robin input to its rates; it is
+    read and extended, so a caller that passes one dict to many
+    scenarios shares their runs, as a ``SimulatorRunner`` does for its
+    lifetime.  By default it is a fresh dict kept for this call only, as
+    ``nicperf simulate`` and the placement oracle use it.  A run is a
+    pure function of its input, which also fixes the horizon, so results
+    do not depend on what the dict already holds; a run that raises
+    ``ConvergenceError`` is not stored.
     """
     specs = [spec for spec, _ in scenario.nfs]
     traffics = {spec.name: traffic for spec, traffic in scenario.nfs}
@@ -534,8 +543,8 @@ def run_scenario(scenario: ContentionScenario) -> SimulationResult:
             return spec.car_override
         return spec.l2_refs_per_packet * thr[spec.name]
 
-    # Round-robin rates by input; the horizon is a function of the input.
-    rr_runs: dict[tuple, list[float]] = {}
+    if rr_runs is None:
+        rr_runs = {}
     converged = False
     for _ in range(100):
         new_stage_thr: dict[str, dict[ResourceKind, float]] = {n: {} for n in names}

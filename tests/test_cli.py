@@ -555,9 +555,10 @@ def _write(path, doc):
     return str(path)
 
 
-def _evaluate_on(doc):
+def _evaluate_on(doc, *options):
     return lambda tmp, bundle: ["evaluate", "--bundle", str(bundle), "--testgrid",
-                                _write(tmp / "grid.json", doc), "--out", str(tmp / "eval.csv")]
+                                _write(tmp / "grid.json", doc), "--out", str(tmp / "eval.csv"),
+                                *options]
 
 
 def _levels(levels):
@@ -598,6 +599,11 @@ def _report_without_nic_count(tmp, bundle):
 
 @pytest.mark.parametrize("argv,words", [
     (_evaluate_on({"points": 5}), ["_Grid.points", "expected a list"]),
+    (_evaluate_on({"points": []}), ["_Grid.points", "no points"]),
+    (_evaluate_on({"points": [{"traffic": _TRAFFIC}]}, "--jobs", "0"),
+     ["--jobs must be at least 1, got 0"]),
+    (_evaluate_on({"points": [{"traffic": _TRAFFIC}]}, "--jobs", "-5"),
+     ["--jobs must be at least 1, got -5"]),
     (_levels([1]), ["_Point.levels", "expected an object"]),
     (_levels({"regex_accel": [0.5, 0.5]}), ["_Point.levels", "regex_accel"]),
     (_levels({"memory": math.nan}), ["_Point.levels.memory: expected a number, got nan"]),
@@ -624,7 +630,8 @@ def _report_without_nic_count(tmp, bundle):
     (_report_without_nic_count, ["_ScoredReport", "'nic_count'"]),
     (_evaluate_on(b'{"points": [], "note": "\xff"}'), ["grid.json", "UTF-8"]),
     (_simulate_queue_count(10**400), ["NfSpec.queue_count", "at most 64 bits"]),
-], ids=["grid-points-not-a-list", "levels-list", "accel-level-pair", "memory-level-nan",
+], ids=["grid-points-not-a-list", "grid-without-points", "jobs-zero", "jobs-negative",
+        "levels-list", "accel-level-pair", "memory-level-nan",
         "memory-level-negative", "arrival-not-an-object", "arrival-without-max-drop-ratio",
         "inline-arrival-string-ratio", "inline-arrival-numeric-id",
         "full-grid-string", "full-grid-unknown-attribute", "full-resources-object",
@@ -755,7 +762,7 @@ _ATTRIBUTE_BOXES = st.tuples(_ATTRIBUTE, _NUM, _NUM).filter(lambda t: t[1] != t[
 #: Every Codec type with a strategy for its wire documents.
 _INPUT_DOCS = {
     _Point: _POINTS,
-    _Grid: st.fixed_dictionaries({"points": st.lists(_POINTS, max_size=3)}),
+    _Grid: st.fixed_dictionaries({"points": st.lists(_POINTS, min_size=1, max_size=3)}),
     _Sweep: st.one_of(
         st.fixed_dictionaries({"attribute": _ATTRIBUTE,
                                "values": st.lists(_NUM, min_size=1, max_size=4)},

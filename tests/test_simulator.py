@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nicperf import simulator
-from nicperf.catalog import CATALOG
+from nicperf.catalog import CATALOG, SimulatorRunner
 from nicperf.core import (
     DEFAULT_TRAFFIC,
     ExecutionPattern,
@@ -14,6 +14,7 @@ from nicperf.core import (
     ResourceKind,
     TrafficProfile,
 )
+from nicperf.predictor import build
 from nicperf.simulator import (
     BENCH_CAR_MAX,
     BENCH_WSS_MAX,
@@ -415,9 +416,9 @@ def _counting_rr(monkeypatch, fail_first=False):
     return calls
 
 
-def _scenario_outcome(scenario):
+def _scenario_outcome(scenario, rr_runs=None):
     try:
-        return run_scenario(scenario).to_dict()
+        return run_scenario(scenario, rr_runs=rr_runs).to_dict()
     except ConvergenceError:
         return ConvergenceError
 
@@ -447,20 +448,35 @@ _SCENARIO = st.lists(_SCENARIO_NF, min_size=1, max_size=4).map(
 
 
 @settings(max_examples=25, deadline=None)
-@given(scenario=_SCENARIO)
-def test_rr_memo_simulates_each_input_once_per_call(scenario):
+@given(scenarios=st.lists(_SCENARIO, min_size=1, max_size=4))
+def test_rr_memo_simulates_each_input_once_per_call(scenarios):
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = _counting_rr(monkeypatch)
-        first = _scenario_outcome(scenario)
-        first_calls = list(calls)
+        alone, alone_calls = [], []
+        for scenario in scenarios:
+            alone.append(_scenario_outcome(scenario))
+            alone_calls.append(list(calls))
+            calls.clear()
+        again = _scenario_outcome(scenarios[0])
+        again_calls = list(calls)
         calls.clear()
-        second = _scenario_outcome(scenario)
-    # Within a call no input is simulated twice; nothing is kept across
-    # calls, so a repeated call simulates the same inputs again and
-    # returns the same result.
-    assert len(set(first_calls)) == len(first_calls)
-    assert calls == first_calls
-    assert second == first
+        rr_runs = {}
+        shared = [_scenario_outcome(scenario, rr_runs) for scenario in scenarios]
+    # Within a call no input is simulated twice; by default nothing is
+    # kept across calls, so a repeated call simulates the same inputs
+    # again and returns the same result.
+    for first_calls in alone_calls:
+        assert len(set(first_calls)) == len(first_calls)
+    assert again_calls == alone_calls[0]
+    assert again == alone[0]
+    # One dict shared by the sequence: every result is the scenario's
+    # own, the sequence simulates the inputs of its scenarios, and an
+    # input is simulated again only if its run raised and was not kept.
+    assert shared == alone
+    assert set(calls) == set().union(*alone_calls)
+    repeated = {specs for specs in calls if calls.count(specs) > 1}
+    assert not repeated & rr_runs.keys()
+    assert rr_runs.keys() <= set(calls)
 
 
 def test_rr_memo_does_not_keep_convergence_errors(monkeypatch):
@@ -477,3 +493,27 @@ def test_rr_memo_does_not_keep_convergence_errors(monkeypatch):
     # The NF is alone and backlogged on its one accelerator, so every
     # iteration meets the same input: simulated once per call.
     assert calls == [calls[0], calls[0]]
+
+    # A shared dict keeps nothing of the failed run, so the next call
+    # with it simulates the input again; after that it is a hit.
+    calls = _counting_rr(monkeypatch, fail_first=True)
+    rr_runs = {}
+    with pytest.raises(ConvergenceError):
+        run_scenario(scenario, rr_runs=rr_runs)
+    assert rr_runs == {}
+    assert run_scenario(scenario, rr_runs=rr_runs).to_dict() == expect
+    assert run_scenario(scenario, rr_runs=rr_runs).to_dict() == expect
+    assert calls == [calls[0], calls[0]]
+    assert list(rr_runs) == [calls[0]]
+
+
+def test_runner_simulates_each_rr_input_once_per_build(monkeypatch):
+    """A runner shares round-robin runs across the scenarios of a build:
+    touch detection, inference co-runs, pattern probes and profiling."""
+    from conftest import default_config
+
+    calls = _counting_rr(monkeypatch)
+    runner = SimulatorRunner(CATALOG["flowmonitor"])
+    build("flowmonitor", default_config(quota=40), runner)
+    assert runner.runs > 1
+    assert len(calls) == len(set(calls)) > 1
